@@ -16,15 +16,18 @@ from typing import Mapping
 import numpy as np
 
 from .classifier import ProbMatrix
+from .dataset import positions
 
 __all__ = [
     "ScoredPool",
     "AcquisitionError",
     "margin_scores",
     "alamp_scores",
+    "shift_scores",
     "random_select",
     "coreset_select",
     "diversify",
+    "diversify_classes",
     "pseudo_classes",
 ]
 
@@ -45,16 +48,20 @@ class ScoredPool:
     scores: np.ndarray
     order: np.ndarray
 
-    def as_dict(self) -> dict:
-        return {int(s): float(v) for s, v in zip(self.sample_ids, self.scores)}
-
     def top(self, batch: int) -> np.ndarray:
         return self.order[:batch]
 
 
-def _ordered(ids: np.ndarray, scores: np.ndarray, descending: bool) -> np.ndarray:
+def _pool(ids: np.ndarray, scores: np.ndarray, descending: bool) -> ScoredPool:
     key = -scores if descending else scores
-    return ids[np.lexsort((ids, key))]
+    return ScoredPool(sample_ids=ids, scores=scores, order=ids[np.lexsort((ids, key))])
+
+
+def _positions(ids, wanted, what: str) -> np.ndarray:
+    try:
+        return positions(ids, wanted)
+    except KeyError as exc:
+        raise AcquisitionError(f"sample {exc.args[0]} has no {what}") from None
 
 
 def margin_scores(probs: ProbMatrix) -> ScoredPool:
@@ -64,9 +71,7 @@ def margin_scores(probs: ProbMatrix) -> ScoredPool:
         raise AcquisitionError("margin needs at least 2 classes")
     top2 = np.partition(p, p.shape[1] - 2, axis=1)[:, -2:]
     scores = top2[:, 1] - top2[:, 0]
-    ids = probs.sample_ids
-    return ScoredPool(sample_ids=ids, scores=scores,
-                      order=_ordered(ids, scores, descending=False))
+    return _pool(probs.sample_ids, scores, descending=False)
 
 
 def alamp_scores(marg_prev: Mapping[int, float],
@@ -76,17 +81,21 @@ def alamp_scores(marg_prev: Mapping[int, float],
     score(x) = (m_prev - m_curr) / (m_prev + m_curr); 0 when both margins are
     zero. Samples whose prediction moved from certain to uncertain rank first.
     """
-    ids = np.array(sorted(marg_curr), dtype=np.int64)
-    missing = [int(i) for i in ids if i not in marg_prev]
-    if missing:
-        raise AcquisitionError(
-            f"sample {missing[0]} has no previous-iteration margin")
-    prev = np.array([marg_prev[int(i)] for i in ids])
-    curr = np.array([marg_curr[int(i)] for i in ids])
-    total = prev + curr
-    scores = np.where(total > 0, (prev - curr) / np.where(total > 0, total, 1.0), 0.0)
-    return ScoredPool(sample_ids=ids, scores=scores,
-                      order=_ordered(ids, scores, descending=True))
+    def pool(margins):
+        ids = np.array(sorted(margins), dtype=np.int64)
+        scores = np.array([margins[i] for i in ids.tolist()], dtype=np.float64)
+        return _pool(ids, scores, descending=False)
+    return shift_scores(pool(marg_prev), pool(marg_curr))
+
+
+def shift_scores(prev: ScoredPool, curr: ScoredPool) -> ScoredPool:
+    """`alamp_scores` over margin pools: scores every id of `curr`, each of
+    which must have a margin in `prev` (the unlabeled pool only shrinks)."""
+    prev_m = prev.scores[_positions(prev.sample_ids, curr.sample_ids,
+                                    "previous-iteration margin")]
+    total = prev_m + curr.scores
+    scores = np.where(total > 0, (prev_m - curr.scores) / np.where(total > 0, total, 1.0), 0.0)
+    return _pool(curr.sample_ids, scores, descending=True)
 
 
 def random_select(pool_ids, batch: int, seed: int) -> np.ndarray:
@@ -143,23 +152,25 @@ def diversify(ordered_ids, pseudo: Mapping[int, int], batch: int) -> np.ndarray:
     contributes at most one new sample. Passes repeat until the batch is
     filled; the result keeps selection order and is truncated to the batch.
     """
-    ordered = [int(i) for i in ordered_ids]
+    return diversify_classes(ordered_ids, list(pseudo), list(pseudo.values()), batch)
+
+
+def diversify_classes(ordered_ids, ids, classes, batch: int) -> np.ndarray:
+    """`diversify` with the pseudo class of ids[i] given as classes[i].
+
+    Pass p takes the p-th ranked sample of each class, in ranking order, so
+    the selection is a stable sort by (rank within class, position in the
+    ranking), cut to the batch.
+    """
+    ordered = np.asarray(ordered_ids, dtype=np.int64)
     if batch > len(ordered):
         raise AcquisitionError(f"batch {batch} exceeds pool size {len(ordered)}")
-    missing = [i for i in ordered if i not in pseudo]
-    if missing:
-        raise AcquisitionError(f"sample {missing[0]} has no pseudo class")
-    selected = []
-    chosen = set()
-    while len(selected) < batch:
-        seen_classes = set()
-        for sid in ordered:
-            cls = pseudo[sid]
-            if cls not in seen_classes and sid not in chosen:
-                selected.append(sid)
-                chosen.add(sid)
-                seen_classes.add(cls)
-    return np.array(selected[:batch], dtype=np.int64)
+    classes = np.asarray(classes)[_positions(ids, ordered, "pseudo class")]
+    by_class = np.argsort(classes, kind="stable")
+    grouped = classes[by_class]
+    rank = np.empty(len(ordered), dtype=np.int64)
+    rank[by_class] = np.arange(len(ordered)) - np.searchsorted(grouped, grouped)
+    return ordered[np.argsort(rank, kind="stable")[:batch]]
 
 
 def pseudo_classes(probs: ProbMatrix) -> dict:

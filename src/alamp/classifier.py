@@ -70,19 +70,6 @@ class ProbMatrix:
     probs: np.ndarray       # (n_scored, n_classes), rows sum to 1
     sample_ids: np.ndarray  # (n_scored,)
 
-    def row_for(self, sample_id: int) -> np.ndarray:
-        pos = np.flatnonzero(self.sample_ids == sample_id)
-        if len(pos) == 0:
-            raise KeyError(sample_id)
-        return self.probs[pos[0]]
-
-    def restrict(self, sample_ids) -> "ProbMatrix":
-        """Rows for the given ids, in the given order."""
-        lookup = {int(s): i for i, s in enumerate(self.sample_ids)}
-        rows = np.array([lookup[int(s)] for s in sample_ids], dtype=np.int64)
-        return ProbMatrix(probs=self.probs[rows],
-                          sample_ids=np.asarray(sample_ids, dtype=np.int64))
-
 
 def class_weights(counts) -> np.ndarray:
     """Cost-sensitive weights w_c = n_samples / (n_classes * count_c).
@@ -122,14 +109,12 @@ def gradients(weights, biases, z, targets, sample_w, reg_param):
     return grad_w, grad_b
 
 
-def train(features, labels, class_weights_vec, reg_param: float, seed: int = 0) -> Model:
+def train(features, labels, class_weights_vec, reg_param: float) -> Model:
     """Fit one-vs-rest linear models by full-batch gradient descent.
 
     Deterministic: zero-initialized, fixed learning rate 0.1 / (1 + reg_param),
-    500 iterations. The seed argument is accepted for interface uniformity but
-    does not influence the result.
+    500 iterations.
     """
-    del seed
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     cw = np.asarray(class_weights_vec, dtype=np.float64)

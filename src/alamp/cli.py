@@ -6,9 +6,9 @@ Subcommands:
     synth      write a synthetic Gaussian-blob embedding CSV
     imbalance  subsample a CSV to a target imbalance ratio
 
-Exit codes: 0 success, 2 usage/config error, 1 runtime failure. Every flag
-has a JSON config-file equivalent (--config); explicit flags override file
-values.
+Exit codes: 0 success, 2 usage/config error, 1 runtime failure. `run` and
+`compare` also read their flags from a JSON config file (--config); explicit
+flags override file values.
 """
 
 from __future__ import annotations
@@ -184,7 +184,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    _load_config(args)
     try:
         data = ds.make_synthetic(args.classes, args.per_class, args.dim,
                                  args.cluster_std, args.seed)
@@ -197,7 +196,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_imbalance(args) -> int:
-    _load_config(args)
     data = ds.load_dataset(args.input)
     try:
         skewed = ds.induce_imbalance(data, args.target_ir, args.min_per_class,
@@ -251,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--cluster-std", dest="cluster_std", type=float, required=True)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--output", required=True)
-    p_synth.add_argument("--config", help="JSON config file")
     p_synth.set_defaults(func=cmd_synth)
 
     p_imb = sub.add_parser("imbalance", help="subsample a CSV to a target imbalance ratio")
@@ -260,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_imb.add_argument("--min-per-class", dest="min_per_class", type=int, default=1)
     p_imb.add_argument("--seed", type=int, default=0)
     p_imb.add_argument("--output", required=True)
-    p_imb.add_argument("--config", help="JSON config file")
     p_imb.set_defaults(func=cmd_imbalance)
 
     return parser

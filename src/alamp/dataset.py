@@ -19,6 +19,7 @@ __all__ = [
     "make_synthetic",
     "train_test_split",
     "class_counts",
+    "positions",
     "imbalance_ratio",
     "induce_imbalance",
 ]
@@ -79,10 +80,8 @@ class Dataset:
 
     def rows_for(self, sample_ids) -> np.ndarray:
         """Row positions of the given sample ids (error on unknown ids)."""
-        lookup = {sid: row for row, sid in enumerate(self.sample_ids.tolist())}
         try:
-            return np.array([lookup[int(s)] for s in np.asarray(sample_ids).ravel()],
-                            dtype=np.int64)
+            return positions(self.sample_ids, sample_ids)
         except KeyError as exc:
             raise DatasetError(f"unknown sample_id {exc.args[0]}") from None
 
@@ -98,6 +97,20 @@ class Dataset:
 
     def class_counts(self) -> np.ndarray:
         return class_counts(self.labels, self.n_classes)
+
+
+def positions(ids, wanted) -> np.ndarray:
+    """Index into `ids` (unique, in any order) of each id in `wanted`.
+
+    Raises KeyError with the first id in `wanted` that `ids` lacks.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    wanted = np.asarray(wanted, dtype=np.int64).ravel()
+    unknown = ~np.isin(wanted, ids)
+    if unknown.any():
+        raise KeyError(int(wanted[unknown][0]))
+    order = np.argsort(ids)
+    return order[np.searchsorted(ids, wanted, sorter=order)]
 
 
 def class_counts(labels, n_classes: int) -> np.ndarray:

@@ -68,7 +68,6 @@ class PoolState:
     unlabeled_ids: np.ndarray  # ascending
     iteration: int
     prev_probs: ProbMatrix | None = None
-    prev_pseudo: dict | None = None
 
 
 def _step_seed(seed: int, k: int) -> int:
@@ -99,7 +98,7 @@ def _fit(train: Dataset, labeled_ids: np.ndarray, cost_sensitive: bool,
                                           folds=3, seed=seed)
     else:
         reg = FALLBACK_REG
-    return classifier.train(pool.features, pool.labels, weights, reg, seed=seed)
+    return classifier.train(pool.features, pool.labels, weights, reg)
 
 
 def init_pool(train: Dataset, plan: BudgetPlan, seed: int,
@@ -143,32 +142,23 @@ def _select(state: PoolState, model: Model, af: str, train: Dataset,
                                           unlabeled_rows, batch)
         return train.sample_ids[rows]
 
-    margins = acquisition.margin_scores(probs)
-    if af == "margin":
-        return margins.top(batch)
-
-    if af == "alamp":
-        if state.prev_probs is None:
-            return margins.top(batch)
-        prev_margins = acquisition.margin_scores(state.prev_probs).as_dict()
-        pool = acquisition.alamp_scores(prev_margins, margins.as_dict())
-        return pool.top(batch)
-
-    current_pseudo = acquisition.pseudo_classes(probs)
-    if af == "alamp-div":
-        if state.prev_probs is None:
-            return acquisition.diversify(margins.order, current_pseudo, batch)
-        prev_margins = acquisition.margin_scores(state.prev_probs).as_dict()
-        pool = acquisition.alamp_scores(prev_margins, margins.as_dict())
-        return acquisition.diversify(pool.order, state.prev_pseudo, batch)
-    if af == "marg-div":
-        return acquisition.diversify(margins.order, current_pseudo, batch)
-    if af == "rand-div":
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(np.sort(unlabeled))
-        return acquisition.diversify(order, current_pseudo, batch)
-
-    raise EngineError(f"unknown acquisition function {af!r}")
+    # Once a previous model exists, alamp and alamp-div rank by the shift from
+    # its margins, and alamp-div spreads over its pseudo classes.
+    ranked, pseudo_from = acquisition.margin_scores(probs), probs
+    if af in ("alamp", "alamp-div") and state.prev_probs is not None:
+        ranked = acquisition.shift_scores(
+            acquisition.margin_scores(state.prev_probs), ranked)
+        pseudo_from = state.prev_probs
+    if af in ("margin", "alamp"):
+        return ranked.top(batch)
+    if af in ("alamp-div", "marg-div"):
+        order = ranked.order
+    elif af == "rand-div":
+        order = np.random.default_rng(seed).permutation(np.sort(unlabeled))
+    else:
+        raise EngineError(f"unknown acquisition function {af!r}")
+    return acquisition.diversify_classes(order, pseudo_from.sample_ids,
+                                         np.argmax(pseudo_from.probs, axis=1), batch)
 
 
 def step(state: PoolState, model: Model, af: str, train: Dataset, seed: int,
@@ -196,7 +186,6 @@ def step(state: PoolState, model: Model, af: str, train: Dataset, seed: int,
         unlabeled_ids=new_unlabeled,
         iteration=k,
         prev_probs=probs,
-        prev_pseudo=acquisition.pseudo_classes(probs),
     )
     new_model = _fit(train, new_labeled, cost_sensitive, step_seed)
 
@@ -205,9 +194,9 @@ def step(state: PoolState, model: Model, af: str, train: Dataset, seed: int,
         iteration=k,
         labeled_count=len(new_labeled),
         accuracy=float("nan"),
-        class_counts=tuple(int(c) for c in counts),
+        class_counts=tuple(counts.tolist()),
         ir=imbalance_ratio(counts),
-        selected_ids=tuple(int(s) for s in selected),
+        selected_ids=tuple(selected.tolist()),
     )
     return new_state, new_model, record
 
@@ -227,9 +216,9 @@ def run_experiment(train: Dataset, test: Dataset, af: str, plan: BudgetPlan,
         iteration=0,
         labeled_count=len(state.labeled_ids),
         accuracy=classifier.accuracy(model, test),
-        class_counts=tuple(int(c) for c in counts),
+        class_counts=tuple(counts.tolist()),
         ir=imbalance_ratio(counts),
-        selected_ids=tuple(int(s) for s in state.labeled_ids),
+        selected_ids=tuple(state.labeled_ids.tolist()),
     )]
     for _ in range(plan.iterations - 1):
         state, model, record = step(state, model, af, train, seed, plan.batch,

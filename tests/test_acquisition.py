@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from alamp.acquisition import (
     AcquisitionError,
@@ -159,6 +159,20 @@ class TestCoresetSelect:
         assert len(set(sel.tolist())) == 28
 
 
+def reference_diversify(ordered, pseudo, batch):
+    """The pass-by-pass loop: each pass takes the first not-yet-chosen id of
+    every pseudo class, in ranking order, until the batch is filled."""
+    selected, chosen = [], set()
+    while len(selected) < batch:
+        seen_classes = set()
+        for sid in ordered:
+            if pseudo[sid] not in seen_classes and sid not in chosen:
+                selected.append(sid)
+                chosen.add(sid)
+                seen_classes.add(pseudo[sid])
+    return selected[:batch]
+
+
 class TestDiversify:
     def test_two_classes_one_pass(self):
         # ordered [a0, b0, c1, d1], batch 2 -> [a, c]
@@ -217,6 +231,24 @@ class TestDiversify:
         if len(active) > 1:
             counts = [taken[c] for c in active]
             assert max(counts) - min(counts) <= 1
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=60),
+           st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0))
+    @example([0] * 40, 0, 1.0)   # one class, batch == pool
+    @example([3] * 40, 1, 0.5)   # one class, several passes
+    @example([0, 1, 2] * 10, 2, 1.0)
+    def test_matches_pass_loop_reference(self, classes, seed, batch_frac):
+        # ids are sparse and ranked in random order; the mapping also holds
+        # ids outside the ranking, as the previous model's pseudo classes do
+        ids = [3 * i + 1 for i in range(len(classes))]
+        pseudo = dict(zip(ids, classes))
+        pseudo.update({0: 0, 3 * len(ids) + 1: 1})
+        ordered = np.random.default_rng(seed).permutation(ids).tolist()
+        batch = 1 + int(batch_frac * (len(ids) - 1))
+        got = diversify(ordered, pseudo, batch)
+        assert got.tolist() == reference_diversify(ordered, pseudo, batch)
 
 
 class TestPseudoClasses:

@@ -51,6 +51,14 @@ class TestSynth:
         assert rc == 2
 
 
+    def test_config_flag_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--classes", "2", "--per-class", "5", "--dim", "3",
+                  "--cluster-std", "0.1", "--output", str(tmp_path / "x.csv"),
+                  "--config", str(tmp_path / "cfg.json")])
+        assert exc.value.code == 2
+
+
 class TestImbalance:
     def test_hits_target_and_prints_ir(self, tmp_path, capsys):
         src = tmp_path / "balanced.csv"
@@ -79,6 +87,13 @@ class TestImbalance:
         rc = main(["imbalance", "--input", str(src), "--target-ir", "0.9",
                    "--min-per-class", "10", "--output", str(tmp_path / "x.csv")])
         assert rc == 2
+
+
+    def test_config_flag_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["imbalance", "--input", str(tmp_path / "in.csv"), "--target-ir", "0.5",
+                  "--output", str(tmp_path / "out.csv"), "--config", str(tmp_path / "cfg.json")])
+        assert exc.value.code == 2
 
 
 class TestRun:

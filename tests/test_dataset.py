@@ -173,6 +173,17 @@ class TestDatasetInvariants:
         with pytest.raises(DatasetError):
             d.subset([999])
 
+    def test_rows_for_non_ascending_ids(self):
+        sub = make_synthetic(3, 10, 2, 0.2, 0).subset([17, 5, 22])
+        assert list(sub.rows_for([22, 17])) == [2, 0]
+        assert list(sub.rows_for([5, 22, 17])) == [1, 2, 0]
+
+    @pytest.mark.parametrize("unknown", [4, 23, 10])  # below min, above max, in a gap
+    def test_rows_for_unknown_id_rejected(self, unknown):
+        sub = make_synthetic(3, 10, 2, 0.2, 0).subset([17, 5, 22])
+        with pytest.raises(DatasetError, match=f"unknown sample_id {unknown}$"):
+            sub.rows_for([22, unknown, 5])
+
     def test_invalid_label_rejected(self):
         with pytest.raises(DatasetError):
             Dataset(features=np.zeros((2, 1)), labels=np.array([0, 5]),
