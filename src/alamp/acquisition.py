@@ -165,6 +165,8 @@ def diversify_classes(ordered_ids, ids, classes, batch: int) -> np.ndarray:
     ordered = np.asarray(ordered_ids, dtype=np.int64)
     if batch > len(ordered):
         raise AcquisitionError(f"batch {batch} exceeds pool size {len(ordered)}")
+    if len(np.unique(ordered)) != len(ordered):
+        raise AcquisitionError("ranking repeats a sample id")
     classes = np.asarray(classes)[_positions(ids, ordered, "pseudo class")]
     by_class = np.argsort(classes, kind="stable")
     grouped = classes[by_class]

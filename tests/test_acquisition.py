@@ -213,6 +213,10 @@ class TestDiversify:
         with pytest.raises(AcquisitionError):
             diversify([0], {0: 0}, 2)
 
+    def test_repeated_id_rejected(self):
+        with pytest.raises(AcquisitionError):
+            diversify([1, 1, 2], {1: 0, 2: 1}, 2)
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(2, 6), st.integers(5, 40), st.integers(0, 2 ** 31))
     def test_per_class_counts_balanced(self, n_classes, pool, seed):

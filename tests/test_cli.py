@@ -50,7 +50,6 @@ class TestSynth:
                    "--cluster-std", "0.1", "--output", str(tmp_path / "x.csv")])
         assert rc == 2
 
-
     def test_config_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--classes", "2", "--per-class", "5", "--dim", "3",
@@ -87,7 +86,6 @@ class TestImbalance:
         rc = main(["imbalance", "--input", str(src), "--target-ir", "0.9",
                    "--min-per-class", "10", "--output", str(tmp_path / "x.csv")])
         assert rc == 2
-
 
     def test_config_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
