@@ -35,7 +35,15 @@ from .dataset import (
     train_test_split,
     write_dataset,
 )
-from .engine import AF_NAMES, BudgetPlan, PoolState, init_pool, run_experiment, step
+from .engine import (
+    AF_NAMES,
+    BudgetPlan,
+    PoolState,
+    init_pool,
+    run_experiment,
+    run_strategies,
+    step,
+)
 from .metrics import (
     IterationRecord,
     Report,

@@ -5,6 +5,12 @@ cost-weighted squared-hinge loss plus L2 penalty. Zero initialization and a
 fixed iteration budget make training bit-reproducible: the same inputs always
 yield the same model, regardless of seed or thread count.
 
+One descent kernel trains a whole regularization grid jointly, the candidates
+stacked on a leading axis. Each candidate's matrix products keep the shapes a
+lone fit has, so every model it yields is bit-identical to training that
+candidate on its own; `train` is the kernel with a grid of one, and
+`gradients`/`objective` remain the reference formula it is tested against.
+
 Features are standardized per dimension using statistics of the training
 (labeled) pool; the scaler is stored on the model and applied to every pool
 it scores.
@@ -109,39 +115,83 @@ def gradients(weights, biases, z, targets, sample_w, reg_param):
     return grad_w, grad_b
 
 
-def train(features, labels, class_weights_vec, reg_param: float) -> Model:
-    """Fit one-vs-rest linear models by full-batch gradient descent.
-
-    Deterministic: zero-initialized, fixed learning rate 0.1 / (1 + reg_param),
-    500 iterations.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    cw = np.asarray(class_weights_vec, dtype=np.float64)
-    if not reg_param > 0:
+def _check_fit(features, labels, regs) -> None:
+    if not all(reg > 0 for reg in regs):
         raise ClassifierError("reg_param must be positive")
     if not np.all(np.isfinite(features)):
         raise ClassifierError("non-finite features")
     if len(np.unique(labels)) < 2:
         raise ClassifierError("need at least 2 distinct labels to train")
-    n_classes = len(cw)
-    n, dim = features.shape
 
+
+def _descend(z, targets, sample_w, regs):
+    """GD_ITERATIONS full-batch steps from zero for every reg in `regs` at once.
+
+    Candidates sit on a leading axis: weights (G, C, d), biases (G, C). Each
+    step does what `gradients` and the update in `train` spell out, in the
+    same order of floating-point operations, and the batched matmuls run one
+    GEMM per candidate of the shape a single fit uses, so each candidate's
+    result is bit-identical to descending on it alone.
+    """
+    regs = np.asarray(regs, dtype=np.float64)
+    lr_b = (0.1 / (1.0 + regs))[:, None]
+    lr_w = lr_b[:, :, None]
+    two_reg = (2.0 * regs)[:, None, None]
+    n, dim = z.shape
+    n_regs, n_classes = len(regs), targets.shape[1]
+    weighted_targets = sample_w[:, None] * targets
+    scale = -2.0 / n
+
+    weights = np.zeros((n_regs, n_classes, dim))
+    biases = np.zeros((n_regs, n_classes))
+    margins = np.empty((n_regs, n, n_classes))
+    grad_w = np.empty_like(weights)
+    penalty = np.empty_like(weights)
+    grad_b = np.empty_like(biases)
+    for _ in range(GD_ITERATIONS):
+        np.matmul(z, weights.transpose(0, 2, 1), out=margins)
+        margins += biases[:, None, :]
+        # margins becomes the gradient w.r.t. the margins, in place
+        np.multiply(targets, margins, out=margins)
+        np.subtract(1.0, margins, out=margins)
+        np.maximum(0.0, margins, out=margins)
+        margins *= weighted_targets
+        margins *= scale
+        np.matmul(margins.transpose(0, 2, 1), z, out=grad_w)
+        np.multiply(two_reg, weights, out=penalty)
+        grad_w += penalty
+        margins.sum(axis=1, out=grad_b)
+        grad_w *= lr_w
+        weights -= grad_w
+        grad_b *= lr_b
+        biases -= grad_b
+    return weights, biases
+
+
+def _problem(features, labels, cw):
+    """Standardized features, +-1 targets and per-sample weights of a fit."""
     mean, scale = _standardizer(features)
     z = (features - mean) / scale
-    targets = np.full((n, n_classes), -1.0)
-    targets[np.arange(n), labels] = 1.0
-    sample_w = cw[labels]
+    targets = np.full((len(labels), len(cw)), -1.0)
+    targets[np.arange(len(labels)), labels] = 1.0
+    return z, targets, cw[labels], mean, scale
 
-    weights = np.zeros((n_classes, dim))
-    biases = np.zeros(n_classes)
-    lr = 0.1 / (1.0 + reg_param)
-    for _ in range(GD_ITERATIONS):
-        grad_w, grad_b = gradients(weights, biases, z, targets, sample_w, reg_param)
-        weights -= lr * grad_w
-        biases -= lr * grad_b
 
-    return Model(weights=weights, biases=biases, reg_param=float(reg_param),
+def train(features, labels, class_weights_vec, reg_param: float) -> Model:
+    """Fit one-vs-rest linear models by full-batch gradient descent.
+
+    Deterministic: zero-initialized, fixed learning rate 0.1 / (1 + reg_param),
+    500 iterations. Runs the grid kernel that `select_reg_param` uses with a
+    grid of one, so a lone fit and a jointly trained candidate agree bit for
+    bit.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    cw = np.asarray(class_weights_vec, dtype=np.float64)
+    _check_fit(features, labels, (reg_param,))
+    z, targets, sample_w, mean, scale = _problem(features, labels, cw)
+    weights, biases = _descend(z, targets, sample_w, (reg_param,))
+    return Model(weights=weights[0], biases=biases[0], reg_param=float(reg_param),
                  class_weights=cw, feature_mean=mean, feature_scale=scale)
 
 
@@ -160,8 +210,11 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
                      folds: int = 3, seed: int = 0) -> float:
     """Pick the regularization strength by stratified k-fold CV accuracy.
 
-    Ties go to the smallest candidate. Folds are reduced to the minimum class
-    count when a class is too small, with a floor of 2.
+    Each fold is standardized once and the whole grid is trained on it
+    jointly by the descent kernel; every candidate's model is bit-identical
+    to a separate `train` call. Ties go to the smallest candidate. Folds are
+    reduced to the minimum class count when a class is too small, with a
+    floor of 2.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -180,20 +233,19 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
     n_classes = int(labels.max()) + 1
 
     assignment = _stratified_folds(labels, folds, seed)
-    best_reg, best_acc = None, -1.0
-    for reg in grid:
-        fold_accs = []
-        for f in range(folds):
-            tr = assignment != f
-            va = ~tr
-            cw = class_weights(np.bincount(labels[tr], minlength=n_classes))
-            model = train(features[tr], labels[tr], cw, reg)
-            preds = predict(model, features[va])
-            fold_accs.append(float(np.mean(preds == labels[va])))
-        mean_acc = float(np.mean(fold_accs))
-        if mean_acc > best_acc:
-            best_reg, best_acc = reg, mean_acc
-    return best_reg
+    fold_accs = np.empty((len(grid), folds))
+    for f in range(folds):
+        tr = assignment != f
+        va = ~tr
+        _check_fit(features[tr], labels[tr], grid)
+        cw = class_weights(np.bincount(labels[tr], minlength=n_classes))
+        z, targets, sample_w, mean, scale = _problem(features[tr], labels[tr], cw)
+        weights, biases = _descend(z, targets, sample_w, grid)
+        z_va = (features[va] - mean) / scale
+        preds = np.argmax(z_va @ weights.transpose(0, 2, 1) + biases[:, None, :], axis=2)
+        fold_accs[:, f] = np.mean(preds == labels[va], axis=1)
+    # argmax takes the first maximum: ties go to the smallest candidate
+    return grid[int(np.argmax(fold_accs.mean(axis=1)))]
 
 
 def decision_values(model: Model, features) -> np.ndarray:

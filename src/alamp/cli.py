@@ -8,7 +8,10 @@ Subcommands:
 
 Exit codes: 0 success, 2 usage/config error, 1 runtime failure. `run` and
 `compare` also read their flags from a JSON config file (--config); explicit
-flags override file values.
+flags override file values. Config files are strict: an unknown key or a value
+of the wrong JSON type is a usage error, and every setting is checked before
+the first run starts. `compare` runs all strategies of one seed from that
+seed's shared batch and initial model.
 """
 
 from __future__ import annotations
@@ -27,6 +30,16 @@ RUNTIME_ERROR = 1
 DEFAULT_BUDGET = 3200
 DEFAULT_ITERS = 16
 DEFAULT_SEEDS = "0..4"
+REPORT_FORMATS = ("csv", "json")
+
+# The JSON types each config key may have; `run` takes `af`, `compare` takes
+# `afs`. Flags are typed by argparse.
+CONFIG_TYPES = {
+    "train": (str,), "test": (str,), "synth": (str, list), "budget": (int,),
+    "iters": (int,), "seeds": (str, int), "cost_sensitive": (bool,),
+    "out": (str,), "format": (str,), "af": (str,), "afs": (str, list),
+}
+JSON_TYPE_NAMES = {str: "string", int: "integer", bool: "boolean", list: "array"}
 
 
 class CliError(Exception):
@@ -70,6 +83,16 @@ def _load_config(args: argparse.Namespace) -> None:
             raise CliError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(config, dict):
             raise CliError("config file must hold a JSON object")
+    accepted = sorted(key for key in vars(args) if key in CONFIG_TYPES)
+    for key, value in config.items():
+        if key not in accepted:
+            raise CliError(f"unknown config key {key!r}; {args.command} accepts "
+                           f"{', '.join(accepted)}")
+        kinds = CONFIG_TYPES[key]
+        # bool is a subclass of int, but true/false is not an integer
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            names = " or ".join(JSON_TYPE_NAMES[kind] for kind in kinds)
+            raise CliError(f"config key {key!r} must be a JSON {names}, got {value!r}")
     args._config = config
 
 
@@ -103,29 +126,39 @@ def _parse_synth(spec):
         raise CliError(f"bad --synth value {spec!r}") from None
 
 
-def _plan(args) -> engine.BudgetPlan:
-    budget = int(_merged(args, "budget", DEFAULT_BUDGET))
-    iters = int(_merged(args, "iters", DEFAULT_ITERS))
+def _run_grid(afs, args):
+    """Run every strategy on each seed from the seed's shared initial model.
+
+    Every setting is checked before the first run. Writes one report per
+    strategy and seed plus one aggregate per strategy; returns the reports of
+    each strategy in seed order.
+    """
+    fmt = _merged(args, "format", "json")
+    if fmt not in REPORT_FORMATS:
+        raise CliError(f"unknown report format {fmt!r}; choose from "
+                       f"{', '.join(REPORT_FORMATS)}")
     try:
-        return engine.BudgetPlan(total_budget=budget, iterations=iters)
+        plan = engine.BudgetPlan(total_budget=_merged(args, "budget", DEFAULT_BUDGET),
+                                 iterations=_merged(args, "iters", DEFAULT_ITERS))
     except engine.EngineError as exc:
         raise CliError(str(exc)) from None
+    seeds = parse_seeds(str(_merged(args, "seeds", DEFAULT_SEEDS)))
+    cost_sensitive = _merged(args, "cost_sensitive", True)
+    out_dir = _merged(args, "out", ".")
+    train, test, name = _load_pair(args)
 
-
-def _run_af(af, train, test, name, plan, seeds, cost_sensitive, out_dir, fmt):
-    """Run one strategy for each seed; write per-seed reports + aggregate."""
     os.makedirs(out_dir, exist_ok=True)
-    reports = []
+    reports = {af: [] for af in afs}
     for seed in seeds:
-        report = engine.run_experiment(train, test, af, plan, seed,
-                                       cost_sensitive=cost_sensitive,
-                                       dataset_name=name)
-        path = os.path.join(out_dir, f"{name}_{af}_seed{seed}.{fmt}")
-        metrics.write_report(report, path, format=fmt)
-        reports.append(report)
-    agg = metrics.aggregate(reports)
-    metrics.write_aggregate(agg, os.path.join(out_dir, f"{name}_{af}_aggregate.{fmt}"),
-                            format=fmt)
+        for af, report in zip(afs, engine.run_strategies(
+                train, test, afs, plan, seed, cost_sensitive, name)):
+            path = os.path.join(out_dir, f"{name}_{af}_seed{seed}.{fmt}")
+            metrics.write_report(report, path, format=fmt)
+            reports[af].append(report)
+    for af, runs in reports.items():
+        metrics.write_aggregate(metrics.aggregate(runs),
+                                os.path.join(out_dir, f"{name}_{af}_aggregate.{fmt}"),
+                                format=fmt)
     return reports
 
 
@@ -137,14 +170,9 @@ def cmd_run(args) -> int:
     if af not in engine.AF_NAMES:
         raise CliError(f"unknown acquisition function {af!r}; "
                        f"choose from {', '.join(engine.AF_NAMES)}")
-    train, test, name = _load_pair(args)
-    plan = _plan(args)
-    seeds = parse_seeds(str(_merged(args, "seeds", DEFAULT_SEEDS)))
-    cost_sensitive = bool(_merged(args, "cost_sensitive", True))
-    out_dir = _merged(args, "out", ".")
-    fmt = _merged(args, "format", "json")
-    _run_af(af, train, test, name, plan, seeds, cost_sensitive, out_dir, fmt)
-    print(f"wrote {len(seeds)} report(s) + aggregate for {af} to {out_dir}")
+    reports = _run_grid([af], args)
+    print(f"wrote {len(reports[af])} report(s) + aggregate for {af} to "
+          f"{_merged(args, 'out', '.')}")
     return 0
 
 
@@ -160,19 +188,12 @@ def cmd_compare(args) -> int:
             raise CliError(f"unknown acquisition function {af!r}")
     if "random" not in afs:
         afs = ["random"] + afs
+    afs = list(dict.fromkeys(afs))
 
-    train, test, name = _load_pair(args)
-    plan = _plan(args)
-    seeds = parse_seeds(str(_merged(args, "seeds", DEFAULT_SEEDS)))
-    cost_sensitive = bool(_merged(args, "cost_sensitive", True))
-    out_dir = _merged(args, "out", ".")
-    fmt = _merged(args, "format", "json")
-
+    reports = _run_grid(afs, args)
     mean_avg = {}
     for af in afs:
-        reports = _run_af(af, train, test, name, plan, seeds, cost_sensitive,
-                          out_dir, fmt)
-        avgs = [metrics.average_accuracy(r) for r in reports]
+        avgs = [metrics.average_accuracy(r) for r in reports[af]]
         mean_avg[af] = sum(avgs) / len(avgs)
 
     baseline = mean_avg["random"]
@@ -229,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-cost-sensitive", dest="cost_sensitive",
                        action="store_false")
         p.add_argument("--out", help="output directory (default .)")
-        p.add_argument("--format", choices=("csv", "json"), help="report format")
+        p.add_argument("--format", choices=REPORT_FORMATS, help="report format")
         p.add_argument("--config", help="JSON config file; flags override its values")
 
     p_run = sub.add_parser("run", help="run one acquisition strategy")

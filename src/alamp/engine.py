@@ -26,6 +26,7 @@ __all__ = [
     "EngineError",
     "init_pool",
     "step",
+    "run_strategies",
     "run_experiment",
 ]
 
@@ -201,32 +202,49 @@ def step(state: PoolState, model: Model, af: str, train: Dataset, seed: int,
     return new_state, new_model, record
 
 
+def run_strategies(train: Dataset, test: Dataset, afs, plan: BudgetPlan,
+                   seed: int, cost_sensitive: bool = True,
+                   dataset_name: str = "dataset") -> list:
+    """Full AL cycle for each strategy in `afs`, one report each, in order.
+
+    The seed batch and initial model depend only on the data, plan, seed and
+    cost sensitivity, so they are built once and every strategy steps from
+    that shared start; each report is byte-identical to a run on its own.
+    """
+    afs = list(afs)
+    for af in afs:
+        if af not in AF_NAMES:
+            raise EngineError(f"unknown acquisition function {af!r}")
+    if train.dim != test.dim or train.n_classes != test.n_classes:
+        raise EngineError("train/test dimensionality or class count mismatch")
+
+    state0, model0 = init_pool(train, plan, seed, cost_sensitive)
+    counts = train.subset(state0.labeled_ids).class_counts()
+    record0 = IterationRecord(
+        iteration=0,
+        labeled_count=len(state0.labeled_ids),
+        accuracy=classifier.accuracy(model0, test),
+        class_counts=tuple(counts.tolist()),
+        ir=imbalance_ratio(counts),
+        selected_ids=tuple(state0.labeled_ids.tolist()),
+    )
+    reports = []
+    for af in afs:
+        state, model, records = state0, model0, [record0]
+        for _ in range(plan.iterations - 1):
+            state, model, record = step(state, model, af, train, seed, plan.batch,
+                                        cost_sensitive)
+            records.append(dataclasses.replace(
+                record, accuracy=classifier.accuracy(model, test)))
+        meta = RunMeta(af=af, seed=seed, total_budget=plan.total_budget,
+                       iterations=plan.iterations, dataset=dataset_name,
+                       cost_sensitive=cost_sensitive)
+        reports.append(Report(meta=meta, records=tuple(records)))
+    return reports
+
+
 def run_experiment(train: Dataset, test: Dataset, af: str, plan: BudgetPlan,
                    seed: int, cost_sensitive: bool = True,
                    dataset_name: str = "dataset") -> Report:
     """Full AL cycle: seed batch then t-1 selection/retrain iterations."""
-    if af not in AF_NAMES:
-        raise EngineError(f"unknown acquisition function {af!r}")
-    if train.dim != test.dim or train.n_classes != test.n_classes:
-        raise EngineError("train/test dimensionality or class count mismatch")
-
-    state, model = init_pool(train, plan, seed, cost_sensitive)
-    counts = train.subset(state.labeled_ids).class_counts()
-    records = [IterationRecord(
-        iteration=0,
-        labeled_count=len(state.labeled_ids),
-        accuracy=classifier.accuracy(model, test),
-        class_counts=tuple(counts.tolist()),
-        ir=imbalance_ratio(counts),
-        selected_ids=tuple(state.labeled_ids.tolist()),
-    )]
-    for _ in range(plan.iterations - 1):
-        state, model, record = step(state, model, af, train, seed, plan.batch,
-                                    cost_sensitive)
-        records.append(dataclasses.replace(
-            record, accuracy=classifier.accuracy(model, test)))
-
-    meta = RunMeta(af=af, seed=seed, total_budget=plan.total_budget,
-                   iterations=plan.iterations, dataset=dataset_name,
-                   cost_sensitive=cost_sensitive)
-    return Report(meta=meta, records=tuple(records))
+    return run_strategies(train, test, (af,), plan, seed, cost_sensitive, dataset_name)[0]

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from alamp.classifier import (
+    DEFAULT_REG_GRID,
+    GD_ITERATIONS,
     ClassifierError,
+    _descend,
+    _problem,
+    _stratified_folds,
     class_weights,
     decision_values,
     gradients,
@@ -146,6 +151,131 @@ class TestSelectRegParam:
         x = np.random.default_rng(0).normal(size=(3, 2))
         with pytest.raises(ClassifierError):
             select_reg_param(x, np.array([0, 0, 1]), [0.1])
+
+
+def lowrank_relu(n_classes, per_class, dim, rank, seed):
+    """Embedding-like features: ReLU of a random map of a rank-`rank` latent."""
+    rng = np.random.default_rng(seed)
+    latent = np.repeat(rng.normal(size=(n_classes, rank)), per_class, axis=0)
+    latent += rng.normal(size=latent.shape)
+    features = np.maximum(latent @ rng.normal(0.0, rank ** -0.5, size=(rank, dim)), 0.0)
+    return features, np.repeat(np.arange(n_classes), per_class)
+
+
+def skewed_blobs(n_classes, per_class, dim, seed):
+    """Gaussian blobs whose class sizes fall linearly from per_class to a third
+    of it, so cost-sensitive sample weights differ from 1."""
+    d = make_synthetic(n_classes, per_class, dim, 1.6, seed)
+    sizes = np.linspace(per_class, per_class // 3, n_classes).astype(int)
+    keep = np.concatenate([np.flatnonzero(d.labels == c)[:sizes[c]]
+                           for c in range(n_classes)])
+    return d.features[keep], d.labels[keep]
+
+
+def reference_descent(z, targets, sample_w, reg):
+    """One candidate by the reference formula: GD_ITERATIONS `gradients` steps."""
+    weights = np.zeros((targets.shape[1], z.shape[1]))
+    biases = np.zeros(targets.shape[1])
+    lr = 0.1 / (1.0 + reg)
+    for _ in range(GD_ITERATIONS):
+        grad_w, grad_b = gradients(weights, biases, z, targets, sample_w, reg)
+        weights -= lr * grad_w
+        biases -= lr * grad_b
+    return weights, biases
+
+
+def per_reg_select_reg_param(features, labels, grid, folds=3, seed=0):
+    """The per-candidate CV loop, one `train` per candidate and fold."""
+    grid = sorted(float(c) for c in grid)
+    counts = np.unique(labels, return_counts=True)[1]
+    folds = min(folds, max(2, int(counts.min())))
+    n_classes = int(labels.max()) + 1
+    assignment = _stratified_folds(labels, folds, seed)
+    best_reg, best_acc = None, -1.0
+    for reg in grid:
+        fold_accs = []
+        for f in range(folds):
+            tr = assignment != f
+            cw = class_weights(np.bincount(labels[tr], minlength=n_classes))
+            model = train(features[tr], labels[tr], cw, reg)
+            fold_accs.append(float(np.mean(predict(model, features[~tr]) == labels[~tr])))
+        if float(np.mean(fold_accs)) > best_acc:
+            best_reg, best_acc = reg, float(np.mean(fold_accs))
+    return best_reg
+
+
+def descent_problem(features, labels):
+    cw = class_weights(np.bincount(labels))
+    return _problem(np.asarray(features, dtype=np.float64), labels, cw)[:3]
+
+
+class TestGridDescent:
+    """The joint grid descent equals separate reference descents bit for bit."""
+
+    @pytest.mark.parametrize("per_class", [24, 48])  # n = 311 and n = 631
+    def test_grid_matches_reference_per_reg(self, per_class):
+        features, labels = skewed_blobs(20, per_class, 64, 0)
+        assert (len(labels) <= 400) == (per_class == 24)
+        z, targets, sample_w = descent_problem(features, labels)
+        weights, biases = _descend(z, targets, sample_w, DEFAULT_REG_GRID)
+        assert weights.shape == (len(DEFAULT_REG_GRID), 20, 64)
+        for g, reg in enumerate(DEFAULT_REG_GRID):
+            ref_w, ref_b = reference_descent(z, targets, sample_w, reg)
+            assert weights[g].tobytes() == ref_w.tobytes()
+            assert biases[g].tobytes() == ref_b.tobytes()
+
+    def test_train_is_the_one_candidate_grid(self):
+        features, labels = skewed_blobs(5, 20, 8, 2)
+        cw = class_weights(np.bincount(labels))
+        z, targets, sample_w = _problem(features, labels, cw)[:3]
+        model = train(features, labels, cw, 0.1)
+        ref_w, ref_b = reference_descent(z, targets, sample_w, 0.1)
+        assert model.weights.tobytes() == ref_w.tobytes()
+        assert model.biases.tobytes() == ref_b.tobytes()
+
+    def test_diverging_candidates_leave_finite_neighbours_exact(self):
+        features, labels = lowrank_relu(10, 100, 512, 8, 0)
+        z, targets, sample_w = descent_problem(features, labels)
+        with np.errstate(all="ignore"):
+            weights, biases = _descend(z, targets, sample_w, DEFAULT_REG_GRID)
+            finite = []
+            for g, reg in enumerate(DEFAULT_REG_GRID):
+                ref_w, ref_b = reference_descent(z, targets, sample_w, reg)
+                ok = bool(np.all(np.isfinite(ref_w)) and np.all(np.isfinite(ref_b)))
+                finite.append(ok)
+                assert ok == bool(np.all(np.isfinite(weights[g])) and np.all(np.isfinite(biases[g])))
+                if ok:
+                    assert weights[g].tobytes() == ref_w.tobytes()
+                    assert biases[g].tobytes() == ref_b.tobytes()
+        # the fixture is one where the small regularizations diverge
+        assert finite == [False, False, False, True, True]
+
+    @pytest.mark.parametrize("folds", [2, 3])
+    @pytest.mark.parametrize("per_class", [9, 36])
+    def test_select_reg_param_matches_per_reg_loop(self, folds, per_class):
+        features, labels = skewed_blobs(20, per_class, 64, 4)
+        for seed in (0, 7):
+            got = select_reg_param(features, labels, DEFAULT_REG_GRID, folds, seed)
+            assert got == per_reg_select_reg_param(features, labels,
+                                                   DEFAULT_REG_GRID, folds, seed)
+
+    def test_select_reg_param_on_diverging_fixture_matches_per_reg_loop(self):
+        features, labels = lowrank_relu(10, 40, 512, 8, 1)
+        with np.errstate(all="ignore"):
+            got = select_reg_param(features, labels)
+            assert got == per_reg_select_reg_param(features, labels, DEFAULT_REG_GRID)
+
+    def test_non_finite_features_rejected(self):
+        d = make_synthetic(3, 10, 4, 0.5, 0)
+        features = d.features.copy()
+        features[0, 0] = np.nan
+        with pytest.raises(ClassifierError, match="non-finite"):
+            select_reg_param(features, d.labels)
+
+    def test_non_positive_candidate_rejected(self):
+        d = make_synthetic(3, 10, 4, 0.5, 0)
+        with pytest.raises(ClassifierError, match="positive"):
+            select_reg_param(d.features, d.labels, [0.0, 1.0])
 
 
 def model_with_decisions(dv_rows):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from alamp.cli import main, parse_seeds
+from alamp.engine import AF_NAMES
 from alamp.dataset import load_dataset, make_synthetic, train_test_split, write_dataset
 
 
@@ -179,3 +180,65 @@ class TestCompare:
                    "--seeds", "0", "--out", str(tmp_path)])
         assert rc == 0
         assert "random" in capsys.readouterr().out
+
+    def test_reports_match_single_strategy_runs(self, csv_pair, tmp_path):
+        # compare steps every strategy from the seed's shared initial model;
+        # each report must equal the one a run of that strategy alone writes
+        train, test = csv_pair
+        common = ["--train", train, "--test", test, "--budget", "40",
+                  "--iters", "4", "--seeds", "0,3"]
+        assert main(["compare", "--out", str(tmp_path / "cmp")] + common) == 0
+        for af in AF_NAMES:
+            assert main(["run", "--af", af, "--out", str(tmp_path / af)] + common) == 0
+            for seed in (0, 3):
+                name = f"train_{af}_seed{seed}.json"
+                assert ((tmp_path / "cmp" / name).read_bytes()
+                        == (tmp_path / af / name).read_bytes())
+
+
+class TestStrictConfig:
+    """Config faults are usage errors (exit 2) raised before any run starts."""
+
+    def run_with_config(self, csv_pair, tmp_path, capsys, **overrides):
+        train, test = csv_pair
+        config = {"train": train, "test": test, "af": "random", "budget": 40,
+                  "iters": 2, "seeds": "0", "out": str(tmp_path / "out")}
+        config.update(overrides)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = main(["run", "--config", str(cfg_path)])
+        return rc, capsys.readouterr().err
+
+    def test_valid_config_runs(self, csv_pair, tmp_path, capsys):
+        rc, _ = self.run_with_config(csv_pair, tmp_path, capsys, cost_sensitive=False)
+        assert rc == 0
+
+    def test_unknown_key_rejected(self, csv_pair, tmp_path, capsys):
+        rc, err = self.run_with_config(csv_pair, tmp_path, capsys, budgte=40)
+        assert rc == 2
+        assert "unknown config key 'budgte'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_other_subcommand_key_rejected(self, csv_pair, tmp_path, capsys):
+        rc, err = self.run_with_config(csv_pair, tmp_path, capsys, afs="margin")
+        assert rc == 2
+        assert "unknown config key 'afs'" in err
+
+    def test_cost_sensitive_string_rejected(self, csv_pair, tmp_path, capsys):
+        rc, err = self.run_with_config(csv_pair, tmp_path, capsys, cost_sensitive="false")
+        assert rc == 2
+        assert "'cost_sensitive' must be a JSON boolean" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["budget", "iters"])
+    @pytest.mark.parametrize("value", ["40", 40.0, 2.5, True])
+    def test_non_integer_plan_rejected(self, csv_pair, tmp_path, capsys, key, value):
+        rc, err = self.run_with_config(csv_pair, tmp_path, capsys, **{key: value})
+        assert rc == 2
+        assert f"'{key}' must be a JSON integer" in err
+
+    def test_unknown_format_rejected_before_running(self, csv_pair, tmp_path, capsys):
+        rc, err = self.run_with_config(csv_pair, tmp_path, capsys, format="xml")
+        assert rc == 2
+        assert "unknown report format 'xml'" in err
+        assert not (tmp_path / "out").exists()
