@@ -12,8 +12,8 @@ candidate on its own; `train` is the kernel with a grid of one, and
 `gradients`/`objective` remain the reference formula it is tested against.
 
 Features are standardized per dimension using statistics of the training
-(labeled) pool; the scaler is stored on the model and applied to every pool
-it scores.
+(labeled) pool; the scaler is stored on the model, and `standardize` applies
+it to every pool the model scores.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ __all__ = [
     "gradients",
     "train",
     "select_reg_param",
+    "standardize",
     "decision_values",
     "predict_proba",
     "predict",
@@ -248,13 +249,17 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
     return grid[int(np.argmax(fold_accs.mean(axis=1)))]
 
 
+def standardize(model: Model, features) -> np.ndarray:
+    """Features scaled as the model saw them in training."""
+    return (features - model.feature_mean) / model.feature_scale
+
+
 def decision_values(model: Model, features) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     if features.shape[1] != model.dim:
         raise ClassifierError(
             f"feature dim {features.shape[1]} does not match model dim {model.dim}")
-    z = (features - model.feature_mean) / model.feature_scale
-    return z @ model.weights.T + model.biases
+    return standardize(model, features) @ model.weights.T + model.biases
 
 
 def predict_proba(model: Model, features, sample_ids=None) -> ProbMatrix:

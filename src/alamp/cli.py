@@ -8,10 +8,11 @@ Subcommands:
 
 Exit codes: 0 success, 2 usage/config error, 1 runtime failure. `run` and
 `compare` also read their flags from a JSON config file (--config); explicit
-flags override file values. Config files are strict: an unknown key or a value
-of the wrong JSON type is a usage error, and every setting is checked before
-the first run starts. `compare` runs all strategies of one seed from that
-seed's shared batch and initial model.
+flags override file values, which override the defaults. Config files are
+strict: an unknown key or a value of the wrong JSON type is a usage error.
+Seeds must be distinct non-negative integers, and --synth excludes --train and
+--test; every setting is checked before any data is loaded. `compare` runs all
+strategies of one seed from that seed's shared batch and initial model.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ from . import engine, metrics
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
 
-DEFAULT_BUDGET = 3200
-DEFAULT_ITERS = 16
-DEFAULT_SEEDS = "0..4"
-REPORT_FORMATS = ("csv", "json")
+# Used for a setting that neither a flag nor the config file gives.
+DEFAULTS = {"budget": 3200, "iters": 16, "seeds": "0..4", "cost_sensitive": True,
+            "out": ".", "format": "json"}
 
 # The JSON types each config key may have; `run` takes `af`, `compare` takes
 # `afs`. Flags are typed by argparse.
@@ -47,7 +47,7 @@ class CliError(Exception):
 
 
 def parse_seeds(spec: str):
-    """Parse seed lists: '0..4' (inclusive range) or '0,1,2'."""
+    """Parse distinct non-negative seeds: '0..4' (inclusive range) or '0,1,2'."""
     spec = spec.strip()
     try:
         if ".." in spec:
@@ -59,21 +59,15 @@ def parse_seeds(spec: str):
         raise CliError(f"cannot parse seeds {spec!r}") from None
     if not seeds:
         raise CliError("no seeds given")
+    if min(seeds) < 0:
+        raise CliError(f"seeds must be non-negative, got {spec!r}")
+    if len(set(seeds)) != len(seeds):
+        raise CliError(f"seeds must be distinct, got {spec!r}")
     return seeds
 
 
-def _merged(args: argparse.Namespace, key: str, default=None):
-    """Flag value if given, else config-file value, else default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    config = getattr(args, "_config", {})
-    if key in config:
-        return config[key]
-    return default
-
-
 def _load_config(args: argparse.Namespace) -> None:
+    """Fill each unset flag from the config file, else from DEFAULTS."""
     config = {}
     if getattr(args, "config", None):
         try:
@@ -93,20 +87,23 @@ def _load_config(args: argparse.Namespace) -> None:
         if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
             names = " or ".join(JSON_TYPE_NAMES[kind] for kind in kinds)
             raise CliError(f"config key {key!r} must be a JSON {names}, got {value!r}")
-    args._config = config
+    for key in accepted:
+        if getattr(args, key) is None:
+            setattr(args, key, config.get(key, DEFAULTS.get(key)))
+    if args.format not in metrics.REPORT_FORMATS:
+        raise CliError(f"unknown report format {args.format!r}; choose from "
+                       f"{', '.join(metrics.REPORT_FORMATS)}")
 
 
 def _load_pair(args):
     """Train/test datasets from CSVs or from synth parameters."""
-    train_path = _merged(args, "train")
-    test_path = _merged(args, "test")
-    synth = _merged(args, "synth")
-    if train_path and test_path:
-        name = os.path.splitext(os.path.basename(train_path))[0]
-        return ds.load_dataset(train_path), ds.load_dataset(test_path), name
-    if synth:
-        params = _parse_synth(synth)
-        n_classes, per_class, dim, std, seed = params
+    if args.synth and (args.train or args.test):
+        raise CliError("--synth excludes --train and --test")
+    if args.train and args.test:
+        name = os.path.splitext(os.path.basename(args.train))[0]
+        return ds.load_dataset(args.train), ds.load_dataset(args.test), name
+    if args.synth:
+        n_classes, per_class, dim, std, seed = _parse_synth(args.synth)
         full = ds.make_synthetic(n_classes, per_class, dim, std, seed)
         train, test = ds.train_test_split(full, 0.2, seed + 1)
         return train, test, f"synth{n_classes}x{per_class}d{dim}"
@@ -121,71 +118,63 @@ def _parse_synth(spec):
     if len(parts) != 5:
         raise CliError("--synth expects n_classes,per_class,dim,cluster_std,seed")
     try:
-        return int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3]), int(parts[4])
+        params = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3]), int(parts[4])
     except ValueError:
         raise CliError(f"bad --synth value {spec!r}") from None
+    if params[4] < 0:
+        raise CliError(f"--synth seed must be non-negative, got {spec!r}")
+    return params
 
 
 def _run_grid(afs, args):
     """Run every strategy on each seed from the seed's shared initial model.
 
-    Every setting is checked before the first run. Writes one report per
+    Every setting is checked before any data is loaded. Writes one report per
     strategy and seed plus one aggregate per strategy; returns the reports of
     each strategy in seed order.
     """
-    fmt = _merged(args, "format", "json")
-    if fmt not in REPORT_FORMATS:
-        raise CliError(f"unknown report format {fmt!r}; choose from "
-                       f"{', '.join(REPORT_FORMATS)}")
+    for af in afs:
+        if af not in engine.AF_NAMES:
+            raise CliError(f"unknown acquisition function {af!r}; "
+                           f"choose from {', '.join(engine.AF_NAMES)}")
     try:
-        plan = engine.BudgetPlan(total_budget=_merged(args, "budget", DEFAULT_BUDGET),
-                                 iterations=_merged(args, "iters", DEFAULT_ITERS))
+        plan = engine.BudgetPlan(total_budget=args.budget, iterations=args.iters)
     except engine.EngineError as exc:
         raise CliError(str(exc)) from None
-    seeds = parse_seeds(str(_merged(args, "seeds", DEFAULT_SEEDS)))
-    cost_sensitive = _merged(args, "cost_sensitive", True)
-    out_dir = _merged(args, "out", ".")
+    seeds = parse_seeds(str(args.seeds))
     train, test, name = _load_pair(args)
 
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     reports = {af: [] for af in afs}
     for seed in seeds:
         for af, report in zip(afs, engine.run_strategies(
-                train, test, afs, plan, seed, cost_sensitive, name)):
-            path = os.path.join(out_dir, f"{name}_{af}_seed{seed}.{fmt}")
-            metrics.write_report(report, path, format=fmt)
+                train, test, afs, plan, seed, args.cost_sensitive, name)):
+            path = os.path.join(args.out, f"{name}_{af}_seed{seed}.{args.format}")
+            metrics.write_report(report, path, format=args.format)
             reports[af].append(report)
     for af, runs in reports.items():
-        metrics.write_aggregate(metrics.aggregate(runs),
-                                os.path.join(out_dir, f"{name}_{af}_aggregate.{fmt}"),
-                                format=fmt)
+        path = os.path.join(args.out, f"{name}_{af}_aggregate.{args.format}")
+        metrics.write_aggregate(metrics.aggregate(runs), path, format=args.format)
     return reports
 
 
 def cmd_run(args) -> int:
     _load_config(args)
-    af = _merged(args, "af")
-    if af is None:
+    if args.af is None:
         raise CliError("missing --af")
-    if af not in engine.AF_NAMES:
-        raise CliError(f"unknown acquisition function {af!r}; "
-                       f"choose from {', '.join(engine.AF_NAMES)}")
-    reports = _run_grid([af], args)
-    print(f"wrote {len(reports[af])} report(s) + aggregate for {af} to "
-          f"{_merged(args, 'out', '.')}")
+    reports = _run_grid([args.af], args)
+    print(f"wrote {len(reports[args.af])} report(s) + aggregate for {args.af} to "
+          f"{args.out}")
     return 0
 
 
 def cmd_compare(args) -> int:
     _load_config(args)
-    afs = _merged(args, "afs")
+    afs = args.afs
     if afs is None:
         afs = list(engine.AF_NAMES)
     elif isinstance(afs, str):
         afs = [a.strip() for a in afs.split(",") if a.strip()]
-    for af in afs:
-        if af not in engine.AF_NAMES:
-            raise CliError(f"unknown acquisition function {af!r}")
     if "random" not in afs:
         afs = ["random"] + afs
     afs = list(dict.fromkeys(afs))
@@ -242,15 +231,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--synth",
                        help="synthetic data instead of CSVs: "
                             "n_classes,per_class,dim,cluster_std,seed")
-        p.add_argument("--budget", type=int, help=f"total budget b (default {DEFAULT_BUDGET})")
-        p.add_argument("--iters", type=int, help=f"iterations t (default {DEFAULT_ITERS})")
-        p.add_argument("--seeds", help=f"'0..4' or '0,1,2' (default {DEFAULT_SEEDS})")
+        p.add_argument("--budget", type=int,
+                       help=f"total budget b (default {DEFAULTS['budget']})")
+        p.add_argument("--iters", type=int,
+                       help=f"iterations t (default {DEFAULTS['iters']})")
+        p.add_argument("--seeds", help="distinct non-negative seeds, '0..4' or '0,1,2' "
+                                       f"(default {DEFAULTS['seeds']})")
         p.add_argument("--cost-sensitive", dest="cost_sensitive",
                        action="store_true", default=None)
         p.add_argument("--no-cost-sensitive", dest="cost_sensitive",
                        action="store_false")
         p.add_argument("--out", help="output directory (default .)")
-        p.add_argument("--format", choices=REPORT_FORMATS, help="report format")
+        p.add_argument("--format", choices=metrics.REPORT_FORMATS, help="report format")
         p.add_argument("--config", help="JSON config file; flags override its values")
 
     p_run = sub.add_parser("run", help="run one acquisition strategy")

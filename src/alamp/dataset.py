@@ -18,7 +18,6 @@ __all__ = [
     "write_dataset",
     "make_synthetic",
     "train_test_split",
-    "class_counts",
     "positions",
     "imbalance_ratio",
     "induce_imbalance",
@@ -96,7 +95,8 @@ class Dataset:
         )
 
     def class_counts(self) -> np.ndarray:
-        return class_counts(self.labels, self.n_classes)
+        """Per-class sample counts, length n_classes."""
+        return np.bincount(self.labels, minlength=self.n_classes)
 
 
 def positions(ids, wanted) -> np.ndarray:
@@ -111,11 +111,6 @@ def positions(ids, wanted) -> np.ndarray:
         raise KeyError(int(wanted[unknown][0]))
     order = np.argsort(ids)
     return order[np.searchsorted(ids, wanted, sorter=order)]
-
-
-def class_counts(labels, n_classes: int) -> np.ndarray:
-    """Per-class sample counts, length n_classes."""
-    return np.bincount(np.asarray(labels, dtype=np.int64), minlength=n_classes)
 
 
 def load_dataset(path) -> Dataset:

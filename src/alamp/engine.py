@@ -76,20 +76,18 @@ def _step_seed(seed: int, k: int) -> int:
     return int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
 
 
-def _fit(train: Dataset, labeled_ids: np.ndarray, cost_sensitive: bool,
-         seed: int) -> Model:
+def _fit(pool: Dataset, cost_sensitive: bool, seed: int) -> Model:
     """Retrain from scratch on the labeled pool (fresh CV, fresh weights).
 
     Classes with fewer than 2 labeled samples cannot be stratified, so CV is
     run on the remaining classes; if fewer than 2 classes qualify, a fixed
     fallback regularization is used.
     """
-    pool = train.subset(labeled_ids)
     counts = pool.class_counts()
     if cost_sensitive:
         weights = classifier.class_weights(counts)
     else:
-        weights = np.ones(train.n_classes)
+        weights = np.ones(pool.n_classes)
 
     cv_ok = counts[pool.labels] >= 2
     cv_labels = pool.labels[cv_ok]
@@ -102,6 +100,15 @@ def _fit(train: Dataset, labeled_ids: np.ndarray, cost_sensitive: bool,
     return classifier.train(pool.features, pool.labels, weights, reg)
 
 
+def _record(k: int, pool: Dataset, selected: np.ndarray,
+            accuracy: float = float("nan")) -> IterationRecord:
+    """Record of iteration k whose labeled pool is `pool`."""
+    counts = pool.class_counts()
+    return IterationRecord(iteration=k, labeled_count=pool.n_samples, accuracy=accuracy,
+                           class_counts=tuple(counts.tolist()), ir=imbalance_ratio(counts),
+                           selected_ids=tuple(selected.tolist()))
+
+
 def init_pool(train: Dataset, plan: BudgetPlan, seed: int,
               cost_sensitive: bool = True):
     """Random seed batch of size b/t plus the initial model trained on it.
@@ -111,24 +118,25 @@ def init_pool(train: Dataset, plan: BudgetPlan, seed: int,
     """
     if plan.total_budget >= train.n_samples:
         raise EngineError("budget must be smaller than the unlabeled pool")
-    labeled = None
     for attempt in range(10):
-        candidate = acquisition.random_select(train.sample_ids, plan.batch,
-                                              seed + attempt)
-        if len(np.unique(train.subset(candidate).labels)) >= 2:
-            labeled = candidate
+        labeled = acquisition.random_select(train.sample_ids, plan.batch,
+                                            seed + attempt)
+        pool = train.subset(labeled)
+        if len(np.unique(pool.labels)) >= 2:
             break
-    if labeled is None:
+    else:
         raise EngineError("initial batch covered fewer than 2 classes in 10 draws")
     unlabeled = np.setdiff1d(train.sample_ids, labeled)
-    model = _fit(train, labeled, cost_sensitive, _step_seed(seed, 0))
+    model = _fit(pool, cost_sensitive, _step_seed(seed, 0))
     state = PoolState(labeled_ids=labeled, unlabeled_ids=unlabeled, iteration=0)
     return state, model
 
 
 def _select(state: PoolState, model: Model, af: str, train: Dataset,
-            probs: ProbMatrix, batch: int, seed: int) -> np.ndarray:
-    """Pick the next batch of sample ids per the acquisition function."""
+            unlabeled_rows: np.ndarray, probs: ProbMatrix, batch: int,
+            seed: int) -> np.ndarray:
+    """Pick the next batch of sample ids per the acquisition function;
+    `unlabeled_rows` are the training-set rows of `state.unlabeled_ids`."""
     unlabeled = state.unlabeled_ids
     if af == "random":
         return acquisition.random_select(unlabeled, batch, seed)
@@ -136,10 +144,8 @@ def _select(state: PoolState, model: Model, af: str, train: Dataset,
     if af == "coreset":
         # Euclidean distances on the model-standardized features; rows are
         # positions in the training dataset (ascending in sample id).
-        std_feats = (train.features - model.feature_mean) / model.feature_scale
-        labeled_rows = train.rows_for(state.labeled_ids)
-        unlabeled_rows = train.rows_for(unlabeled)
-        rows = acquisition.coreset_select(std_feats, labeled_rows,
+        rows = acquisition.coreset_select(classifier.standardize(model, train.features),
+                                          train.rows_for(state.labeled_ids),
                                           unlabeled_rows, batch)
         return train.sample_ids[rows]
 
@@ -178,7 +184,8 @@ def step(state: PoolState, model: Model, af: str, train: Dataset, seed: int,
     unlabeled_rows = train.rows_for(state.unlabeled_ids)
     probs = classifier.predict_proba(model, train.features[unlabeled_rows],
                                      state.unlabeled_ids)
-    selected = _select(state, model, af, train, probs, batch, step_seed)
+    selected = _select(state, model, af, train, unlabeled_rows, probs, batch,
+                       step_seed)
 
     new_labeled = np.concatenate([state.labeled_ids, selected])
     new_unlabeled = np.setdiff1d(state.unlabeled_ids, selected)
@@ -188,18 +195,8 @@ def step(state: PoolState, model: Model, af: str, train: Dataset, seed: int,
         iteration=k,
         prev_probs=probs,
     )
-    new_model = _fit(train, new_labeled, cost_sensitive, step_seed)
-
-    counts = train.subset(new_labeled).class_counts()
-    record = IterationRecord(
-        iteration=k,
-        labeled_count=len(new_labeled),
-        accuracy=float("nan"),
-        class_counts=tuple(counts.tolist()),
-        ir=imbalance_ratio(counts),
-        selected_ids=tuple(selected.tolist()),
-    )
-    return new_state, new_model, record
+    pool = train.subset(new_labeled)
+    return new_state, _fit(pool, cost_sensitive, step_seed), _record(k, pool, selected)
 
 
 def run_strategies(train: Dataset, test: Dataset, afs, plan: BudgetPlan,
@@ -219,15 +216,8 @@ def run_strategies(train: Dataset, test: Dataset, afs, plan: BudgetPlan,
         raise EngineError("train/test dimensionality or class count mismatch")
 
     state0, model0 = init_pool(train, plan, seed, cost_sensitive)
-    counts = train.subset(state0.labeled_ids).class_counts()
-    record0 = IterationRecord(
-        iteration=0,
-        labeled_count=len(state0.labeled_ids),
-        accuracy=classifier.accuracy(model0, test),
-        class_counts=tuple(counts.tolist()),
-        ir=imbalance_ratio(counts),
-        selected_ids=tuple(state0.labeled_ids.tolist()),
-    )
+    record0 = _record(0, train.subset(state0.labeled_ids), state0.labeled_ids,
+                      classifier.accuracy(model0, test))
     reports = []
     for af in afs:
         state, model, records = state0, model0, [record0]

@@ -43,22 +43,30 @@ class IterationRecord:
     selected_ids: tuple
 
 
+REPORT_FORMATS = ("csv", "json")
+
+# The report json key of each IterationRecord field, in file order.
+_RECORD_KEYS = (("k", "iteration"), ("labeled", "labeled_count"), ("acc", "accuracy"),
+                ("ir", "ir"), ("class_counts", "class_counts"), ("selected", "selected_ids"))
+
+
 @dataclasses.dataclass(frozen=True)
 class Report:
+    """One run's metadata and its records, stored in iteration order."""
+
     meta: RunMeta
     records: tuple
 
-
-def _sorted_records(report: Report):
-    return sorted(report.records, key=lambda r: r.iteration)
+    def __post_init__(self):
+        object.__setattr__(self, "records",
+                           tuple(sorted(self.records, key=lambda r: r.iteration)))
 
 
 def average_accuracy(report: Report) -> float:
     """Unweighted mean of per-iteration test accuracies."""
-    records = _sorted_records(report)
-    if not records:
+    if not report.records:
         raise ValueError("empty report")
-    return float(np.mean([r.accuracy for r in records]))
+    return float(np.mean([r.accuracy for r in report.records]))
 
 
 def samples_to_accuracy(report: Report, threshold: float):
@@ -68,7 +76,7 @@ def samples_to_accuracy(report: Report, threshold: float):
     """
     if not 0 < threshold <= 1:
         raise ValueError("threshold must be in (0, 1]")
-    for record in _sorted_records(report):
+    for record in report.records:
         if record.accuracy >= threshold:
             return record.labeled_count
     return None
@@ -76,7 +84,20 @@ def samples_to_accuracy(report: Report, threshold: float):
 
 def imbalance_profile(report: Report):
     """Per-iteration imbalance ratio of the labeled pool."""
-    return [imbalance_ratio(np.array(r.class_counts)) for r in _sorted_records(report)]
+    return [imbalance_ratio(np.array(r.class_counts)) for r in report.records]
+
+
+def _write(path, format: str, payload, csv_header: str, csv_rows) -> None:
+    """Write `payload` as indented json, or the csv header then its rows."""
+    if format not in REPORT_FORMATS:
+        raise ValueError(f"unknown format {format!r}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if format == "json":
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+        else:
+            fh.write(csv_header + "\n")
+            fh.writelines(row + "\n" for row in csv_rows)
 
 
 def _report_payload(report: Report) -> dict:
@@ -88,33 +109,16 @@ def _report_payload(report: Report) -> dict:
             "dataset": report.meta.dataset,
             "cost_sensitive": report.meta.cost_sensitive,
         },
-        "records": [
-            {
-                "k": r.iteration,
-                "labeled": r.labeled_count,
-                "acc": r.accuracy,
-                "ir": r.ir,
-                "class_counts": list(r.class_counts),
-                "selected": list(r.selected_ids),
-            }
-            for r in _sorted_records(report)
-        ],
+        "records": [{key: getattr(r, field) for key, field in _RECORD_KEYS}
+                    for r in report.records],
     }
 
 
 def write_report(report: Report, path, format: str = "json") -> None:
     """Serialize a report; json is lossless, csv carries the accuracy curve."""
-    if format == "json":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(_report_payload(report), fh, indent=2)
-            fh.write("\n")
-    elif format == "csv":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("iteration,labeled_count,accuracy,ir\n")
-            for r in _sorted_records(report):
-                fh.write(f"{r.iteration},{r.labeled_count},{r.accuracy:.6f},{r.ir:.6f}\n")
-    else:
-        raise ValueError(f"unknown format {format!r}")
+    _write(path, format, _report_payload(report), "iteration,labeled_count,accuracy,ir",
+           (f"{r.iteration},{r.labeled_count},{r.accuracy:.6f},{r.ir:.6f}"
+            for r in report.records))
 
 
 def read_report(path) -> Report:
@@ -129,44 +133,32 @@ def read_report(path) -> Report:
         dataset=payload["meta"]["dataset"],
         cost_sensitive=payload["meta"]["cost_sensitive"],
     )
-    records = tuple(
-        IterationRecord(
-            iteration=r["k"],
-            labeled_count=r["labeled"],
-            accuracy=r["acc"],
-            class_counts=tuple(r["class_counts"]),
-            ir=r["ir"],
-            selected_ids=tuple(r["selected"]),
-        )
-        for r in payload["records"]
-    )
+    records = (IterationRecord(**{field: tuple(r[key]) if isinstance(r[key], list) else r[key]
+                                  for key, field in _RECORD_KEYS})
+               for r in payload["records"])
     return Report(meta=meta, records=records)
 
 
 def aggregate(reports) -> dict:
     """Mean and population std of accuracy and labeled-pool ir per iteration.
 
-    All reports must share the same budget plan.
+    All reports must share the same budget plan and iterations.
     """
     reports = list(reports)
     if not reports:
         raise ValueError("no reports to aggregate")
-    iterations = [r.iteration for r in _sorted_records(reports[0])]
+    iterations = [r.iteration for r in reports[0].records]
+    for report in reports[1:]:
+        if [r.iteration for r in report.records] != iterations:
+            raise ValueError(f"report of seed {report.meta.seed} has iterations "
+                             f"other than {iterations}")
     rows = []
-    for k in iterations:
-        accs = []
-        irs = []
-        labeled = None
-        for report in reports:
-            match = [r for r in report.records if r.iteration == k]
-            if len(match) != 1:
-                raise ValueError(f"report missing iteration {k}")
-            accs.append(match[0].accuracy)
-            irs.append(match[0].ir)
-            labeled = match[0].labeled_count
+    for records in zip(*(report.records for report in reports)):
+        accs = [r.accuracy for r in records]
+        irs = [r.ir for r in records]
         rows.append({
-            "k": k,
-            "labeled": labeled,
+            "k": records[0].iteration,
+            "labeled": records[-1].labeled_count,
             "acc_mean": float(np.mean(accs)),
             "acc_std": float(np.std(accs)),
             "ir_mean": float(np.mean(irs)),
@@ -180,15 +172,7 @@ def aggregate(reports) -> dict:
 
 
 def write_aggregate(agg: dict, path, format: str = "json") -> None:
-    if format == "json":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(agg, fh, indent=2)
-            fh.write("\n")
-    elif format == "csv":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("iteration,labeled_count,acc_mean,acc_std,ir_mean,ir_std\n")
-            for row in agg["rows"]:
-                fh.write(f"{row['k']},{row['labeled']},{row['acc_mean']:.6f},"
-                         f"{row['acc_std']:.6f},{row['ir_mean']:.6f},{row['ir_std']:.6f}\n")
-    else:
-        raise ValueError(f"unknown format {format!r}")
+    _write(path, format, agg, "iteration,labeled_count,acc_mean,acc_std,ir_mean,ir_std",
+           (f"{row['k']},{row['labeled']},{row['acc_mean']:.6f},"
+            f"{row['acc_std']:.6f},{row['ir_mean']:.6f},{row['ir_std']:.6f}"
+            for row in agg["rows"]))

@@ -17,6 +17,7 @@ from alamp.classifier import (
     predict,
     predict_proba,
     select_reg_param,
+    standardize,
     train,
     accuracy,
 )
@@ -287,6 +288,18 @@ def model_with_decisions(dv_rows):
     return Model(weights=np.eye(n_classes), biases=np.zeros(n_classes),
                  reg_param=1.0, class_weights=np.ones(n_classes),
                  feature_mean=np.zeros(n_classes), feature_scale=np.ones(n_classes))
+
+
+class TestStandardize:
+    def test_applies_the_training_scaler(self):
+        d = make_synthetic(3, 20, 4, 0.5, 0)
+        model = train(d.features, d.labels, class_weights(d.class_counts()), 0.1)
+        z = standardize(model, d.features)
+        # the training pool comes out centred with unit spread
+        assert np.allclose(z.mean(axis=0), 0.0)
+        assert np.allclose(z.std(axis=0), 1.0)
+        assert np.array_equal(decision_values(model, d.features),
+                              z @ model.weights.T + model.biases)
 
 
 class TestPredictProba:

@@ -162,6 +162,75 @@ class TestRun:
         assert main(["run", "--af", "random", "--out", str(tmp_path)]) == 2
 
 
+class TestSettings:
+    """Seed and data-source faults are usage errors found before any data loads."""
+
+    SYNTH_RUN = ["run", "--af", "random", "--budget", "20", "--iters", "2"]
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        # the CSVs do not exist: the seed check must come before any load
+        missing = str(tmp_path / "missing.csv")
+        rc = main(["run", "--train", missing, "--test", missing, "--af", "random",
+                   "--seeds", "-1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "seeds must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_in_range_exit_2(self, tmp_path, capsys):
+        rc = main(self.SYNTH_RUN + ["--synth", "3,30,4,0.5,0", "--seeds=-1..1",
+                                    "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "seeds must be non-negative" in capsys.readouterr().err
+
+    def test_negative_synth_seed_exit_2(self, tmp_path, capsys, monkeypatch):
+        def no_data(*args):
+            raise AssertionError("data generated")
+        monkeypatch.setattr("alamp.dataset.make_synthetic", no_data)
+        rc = main(self.SYNTH_RUN + ["--synth", "3,30,4,0.5,-1", "--seeds", "0",
+                                    "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "--synth seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seeds", ["0,0", "2,1,2"])
+    def test_repeated_seed_exit_2(self, tmp_path, capsys, seeds):
+        rc = main(self.SYNTH_RUN + ["--synth", "3,30,4,0.5,0", "--seeds", seeds,
+                                    "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "seeds must be distinct" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sources", [
+        ["--train", "T", "--synth", "3,30,4,0.5,0"],
+        ["--test", "T", "--synth", "3,30,4,0.5,0"],
+        ["--train", "T", "--test", "T", "--synth", "3,30,4,0.5,0"],
+    ])
+    def test_synth_excludes_csvs(self, csv_pair, tmp_path, capsys, sources):
+        train, test = csv_pair
+        argv = [{"T": train}.get(a, a) for a in sources]
+        rc = main(self.SYNTH_RUN + argv + ["--seeds", "0", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "--synth excludes --train and --test" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_synth_in_config_excludes_train_flag(self, csv_pair, tmp_path, capsys):
+        # the sources conflict only once flags and config are merged
+        train, test = csv_pair
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"synth": "3,30,4,0.5,0", "seeds": "0"}))
+        rc = main(self.SYNTH_RUN + ["--config", str(cfg_path), "--train", train,
+                                    "--test", test, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "--synth excludes --train and --test" in capsys.readouterr().err
+
+    def test_unknown_af_in_compare_exit_2_before_loading(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        rc = main(["compare", "--train", missing, "--test", missing,
+                   "--afs", "margin,entropy", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "unknown acquisition function 'entropy'" in capsys.readouterr().err
+
+
 class TestCompare:
     def test_gain_table(self, csv_pair, tmp_path, capsys):
         train, test = csv_pair

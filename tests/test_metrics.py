@@ -152,3 +152,34 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate([])
+
+    @pytest.mark.parametrize("other", [[0.6, 0.8, 0.9], [0.6]])
+    def test_differing_iterations_rejected(self, other):
+        with pytest.raises(ValueError):
+            aggregate([make_report([0.4, 0.6]), make_report(other)])
+
+    def test_shuffled_records_give_the_same_rows(self):
+        reps = [make_report([0.4, 0.6, 0.5]), make_report([0.6, 0.8, 0.7])]
+        shuffled = [reps[0], Report(meta=META, records=reps[1].records[::-1])]
+        assert aggregate(shuffled) == aggregate(reps)
+
+
+class TestRecordOrder:
+    def test_report_stores_records_by_iteration(self):
+        rep = make_report([0.1, 0.9, 0.5, 0.7])
+        shuffled = Report(meta=META, records=tuple(rep.records[i] for i in (2, 0, 3, 1)))
+        assert [r.iteration for r in shuffled.records] == [0, 1, 2, 3]
+        assert shuffled == rep
+
+    def test_read_report_orders_records(self, tmp_path):
+        rep = make_report([0.25, 0.5, 0.75])
+        path = tmp_path / "r.json"
+        write_report(rep, path)
+        payload = json.loads(path.read_text())
+        payload["records"].reverse()
+        path.write_text(json.dumps(payload))
+        read = read_report(path)
+        assert [r.iteration for r in read.records] == [0, 1, 2]
+        assert read == rep
+        assert samples_to_accuracy(read, 0.5) == 60
+        assert imbalance_profile(read) == [0.0, 0.0, 0.0]
