@@ -113,6 +113,9 @@ def coreset_select(features, labeled_ids, unlabeled_ids, batch: int) -> np.ndarr
     Repeatedly picks the unlabeled point whose distance to its nearest
     covered point (labeled or already selected) is largest; ties go to the
     lowest sample id. `features` is indexed by sample id (row = id).
+
+    Distances are sqrt(max(|u|^2 + |c|^2 - 2 u.c, 0)) to the nearest centre c:
+    n_unlabeled x 2048 temporaries per labeled block, n_unlabeled per pick.
     """
     features = np.asarray(features, dtype=np.float64)
     labeled = np.asarray(labeled_ids, dtype=np.int64)
@@ -124,25 +127,22 @@ def coreset_select(features, labeled_ids, unlabeled_ids, batch: int) -> np.ndarr
 
     u_feats = features[unlabeled]
     u_sq = (u_feats ** 2).sum(axis=1)
-    min_dist = np.full(len(unlabeled), np.inf)
-    # chunk over labeled points to bound the distance-matrix footprint
-    for start in range(0, len(labeled), 2048):
-        block = features[labeled[start:start + 2048]]
-        sq = np.maximum(
-            u_sq[:, None] + (block ** 2).sum(axis=1)[None, :] - 2.0 * (u_feats @ block.T),
-            0.0)
-        min_dist = np.minimum(min_dist, np.sqrt(sq.min(axis=1)))
 
-    selected = []
-    taken = np.zeros(len(unlabeled), dtype=bool)
+    def nearest(centres):
+        sq = u_sq[:, None] + (centres ** 2).sum(axis=1) - 2.0 * (u_feats @ centres.T)
+        return np.sqrt(np.maximum(sq, 0.0).min(axis=1))
+
+    min_dist = np.full(len(unlabeled), np.inf)
+    for start in range(0, len(labeled), 2048):
+        min_dist = np.minimum(min_dist, nearest(features[labeled[start:start + 2048]]))
+
+    picks = []
     for _ in range(batch):
-        best = np.where(taken, -np.inf, min_dist)
-        pick = int(np.argmax(best))  # argmax returns the first (lowest id) max
-        selected.append(int(unlabeled[pick]))
-        taken[pick] = True
-        d_new = np.sqrt(((u_feats - u_feats[pick]) ** 2).sum(axis=1))
-        min_dist = np.minimum(min_dist, d_new)
-    return np.array(selected, dtype=np.int64)
+        pick = int(np.argmax(min_dist))  # argmax returns the first (lowest id) max
+        picks.append(pick)
+        min_dist = np.minimum(min_dist, nearest(u_feats[pick:pick + 1]))
+        min_dist[pick] = -np.inf
+    return unlabeled[picks]
 
 
 def diversify(ordered_ids, pseudo: Mapping[int, int], batch: int) -> np.ndarray:

@@ -6,7 +6,8 @@ Subcommands:
     synth      write a synthetic Gaussian-blob embedding CSV
     imbalance  subsample a CSV to a target imbalance ratio
 
-Exit codes: 0 success, 2 usage/config error, 1 runtime failure. `run` and
+Exit codes: 0 success, 1 runtime failure, 2 usage error (a bad flag, config
+value, dataset parameter or file, or budget plan). `run` and
 `compare` also read their flags from a JSON config file (--config); explicit
 flags override file values, which override the defaults. Config files are
 strict: an unknown key or a value of the wrong JSON type is a usage error.
@@ -137,10 +138,7 @@ def _run_grid(afs, args):
         if af not in engine.AF_NAMES:
             raise CliError(f"unknown acquisition function {af!r}; "
                            f"choose from {', '.join(engine.AF_NAMES)}")
-    try:
-        plan = engine.BudgetPlan(total_budget=args.budget, iterations=args.iters)
-    except engine.EngineError as exc:
-        raise CliError(str(exc)) from None
+    plan = engine.BudgetPlan(total_budget=args.budget, iterations=args.iters)
     seeds = parse_seeds(str(args.seeds))
     train, test, name = _load_pair(args)
 
@@ -194,11 +192,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    try:
-        data = ds.make_synthetic(args.classes, args.per_class, args.dim,
-                                 args.cluster_std, args.seed)
-    except ds.DatasetError as exc:
-        raise CliError(str(exc)) from None
+    parse_seeds(str(args.seed))
+    data = ds.make_synthetic(args.classes, args.per_class, args.dim,
+                             args.cluster_std, args.seed)
     ds.write_dataset(data, args.output)
     print(f"wrote {data.n_samples} samples ({data.n_classes} classes, dim {data.dim}) "
           f"to {args.output}")
@@ -206,12 +202,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_imbalance(args) -> int:
+    parse_seeds(str(args.seed))
     data = ds.load_dataset(args.input)
-    try:
-        skewed = ds.induce_imbalance(data, args.target_ir, args.min_per_class,
-                                     args.seed)
-    except ds.DatasetError as exc:
-        raise CliError(str(exc)) from None
+    skewed = ds.induce_imbalance(data, args.target_ir, args.min_per_class, args.seed)
     ds.write_dataset(skewed, args.output)
     achieved = ds.imbalance_ratio(skewed.class_counts())
     print(f"wrote {skewed.n_samples} samples to {args.output}; "
@@ -280,10 +273,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ds.DatasetError, engine.EngineError) as exc:
+    except (CliError, ds.DatasetError, engine.EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # runtime failures: I/O, numerical, etc.

@@ -262,17 +262,13 @@ def induce_imbalance(dataset: Dataset, target_ir: float, min_per_class: int,
     if imbalance_ratio(_profile_counts(hi, cap, avail, min_per_class)) < target_ir - 0.02:
         raise DatasetError(
             f"target_ir {target_ir} unattainable with min_per_class {min_per_class}")
-    if target_ir == 0.0:
-        slope = 0.0
-    else:
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if imbalance_ratio(_profile_counts(mid, cap, avail, min_per_class)) < target_ir:
-                lo = mid
-            else:
-                hi = mid
-        slope = hi
-    counts = _profile_counts(slope, cap, avail, min_per_class)
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        if imbalance_ratio(_profile_counts(mid, cap, avail, min_per_class)) < target_ir:
+            lo = mid
+        else:
+            hi = mid
+    counts = _profile_counts(hi, cap, avail, min_per_class)
     achieved = imbalance_ratio(counts)
     if abs(achieved - target_ir) > 0.02:
         raise DatasetError(

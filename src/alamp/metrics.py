@@ -7,8 +7,6 @@ import json
 
 import numpy as np
 
-from .dataset import imbalance_ratio
-
 __all__ = [
     "RunMeta",
     "IterationRecord",
@@ -84,7 +82,7 @@ def samples_to_accuracy(report: Report, threshold: float):
 
 def imbalance_profile(report: Report):
     """Per-iteration imbalance ratio of the labeled pool."""
-    return [imbalance_ratio(np.array(r.class_counts)) for r in report.records]
+    return [r.ir for r in report.records]
 
 
 def _write(path, format: str, payload, csv_header: str, csv_rows) -> None:

@@ -123,6 +123,22 @@ def exhaustive_minmax(features, labeled_ids, unlabeled_ids):
     return best_id
 
 
+def greedy_minmax(features, labeled_ids, unlabeled_ids, batch):
+    """Independent greedy k-center over exact norms; ties to the lowest id."""
+    unlabeled = sorted(unlabeled_ids)
+    points = features[unlabeled]
+    nearest = np.min([np.linalg.norm(points - features[l], axis=1) for l in labeled_ids],
+                     axis=0)
+    picks = []
+    for _ in range(batch):
+        # max() keeps the first of equal keys, i.e. the lowest id
+        best = max((j for j in range(len(unlabeled)) if unlabeled[j] not in picks),
+                   key=lambda j: nearest[j])
+        picks.append(unlabeled[best])
+        nearest = np.minimum(nearest, np.linalg.norm(points - points[best], axis=1))
+    return picks
+
+
 class TestCoresetSelect:
     def test_hand_example_1d(self):
         # labeled {0.0}; unlabeled {1.0, 3.0, 2.9}; after 3.0 is covered,
@@ -147,6 +163,19 @@ class TestCoresetSelect:
         unlabeled = list(range(n_l, n_l + n_u))
         got = coreset_select(feats, labeled, unlabeled, 1)[0]
         assert got == exhaustive_minmax(feats, labeled, unlabeled)
+        batch = int(rng.integers(1, n_u + 1))
+        got = coreset_select(feats, labeled, unlabeled, batch)
+        assert got.tolist() == greedy_minmax(feats, labeled, unlabeled, batch)
+
+    def test_coincident_twins_come_last(self):
+        rng = np.random.default_rng(2)
+        distinct = rng.normal(size=(12, 4))
+        # row 0 labeled; rows 1-12 and their twins 13-24 unlabeled
+        feats = np.vstack([rng.normal(size=(1, 4)), distinct, distinct])
+        sel = coreset_select(feats, [0], list(range(1, 25)), 24).tolist()
+        assert sorted(sel) == list(range(1, 25))
+        locations = [(i - 1) % 12 for i in sel]
+        assert sorted(locations[:12]) == list(range(12))
 
     def test_empty_labeled_rejected(self):
         with pytest.raises(AcquisitionError):

@@ -3,8 +3,16 @@ import json
 import pytest
 
 from alamp.cli import main, parse_seeds
-from alamp.engine import AF_NAMES
-from alamp.dataset import load_dataset, make_synthetic, train_test_split, write_dataset
+from alamp.engine import AF_NAMES, BudgetPlan, EngineError
+from alamp.dataset import (DatasetError, induce_imbalance, load_dataset, make_synthetic,
+                           train_test_split, write_dataset)
+
+
+def library_error(exc_type, func, *args):
+    """The `error: ...` line the CLI prints for the library's own error."""
+    with pytest.raises(exc_type) as exc:
+        func(*args)
+    return f"error: {exc.value}\n"
 
 
 @pytest.fixture(scope="module")
@@ -46,10 +54,20 @@ class TestSynth:
                   "--cluster-std", "0.1", "--seed", "7", "--output", str(path)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_bad_params_exit_2(self, tmp_path):
+    def test_bad_params_exit_2(self, tmp_path, capsys):
         rc = main(["synth", "--classes", "1", "--per-class", "5", "--dim", "3",
                    "--cluster-std", "0.1", "--output", str(tmp_path / "x.csv")])
         assert rc == 2
+        assert capsys.readouterr().err == library_error(DatasetError, make_synthetic,
+                                                        1, 5, 3, 0.1, 0)
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["synth", "--classes", "2", "--per-class", "5", "--dim", "3",
+                   "--cluster-std", "0.1", "--seed", "-1", "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seeds must be non-negative, got '-1'\n"
+        assert not out.exists()
 
     def test_config_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -81,12 +99,26 @@ class TestImbalance:
         from alamp.dataset import imbalance_ratio
         assert imbalance_ratio(load_dataset(out).class_counts()) == 0.0
 
-    def test_infeasible_exit_2(self, tmp_path):
+    def test_infeasible_exit_2(self, tmp_path, capsys):
         src = tmp_path / "balanced.csv"
         write_dataset(make_synthetic(5, 10, 2, 0.5, 0), src)
         rc = main(["imbalance", "--input", str(src), "--target-ir", "0.9",
                    "--min-per-class", "10", "--output", str(tmp_path / "x.csv")])
         assert rc == 2
+        assert capsys.readouterr().err == library_error(
+            DatasetError, induce_imbalance, load_dataset(src), 0.9, 10, 0)
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        # the seed is checked before any read, so a missing input gives the same error
+        src = tmp_path / "balanced.csv"
+        write_dataset(make_synthetic(5, 10, 2, 0.5, 0), src)
+        out = tmp_path / "x.csv"
+        for path in (src, tmp_path / "missing.csv"):
+            rc = main(["imbalance", "--input", str(path), "--target-ir", "0.5",
+                       "--seed", "-1", "--output", str(out)])
+            assert rc == 2
+            assert capsys.readouterr().err == "error: seeds must be non-negative, got '-1'\n"
+            assert not out.exists()
 
     def test_config_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -117,7 +149,9 @@ class TestRun:
         rc = main(["run", "--train", train, "--test", test, "--af", "random",
                    "--budget", "3201", "--iters", "16", "--out", str(tmp_path)])
         assert rc == 2
-        assert "divisible" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "divisible" in err
+        assert err == library_error(EngineError, BudgetPlan, 3201, 16)
 
     def test_byte_identical_reruns(self, csv_pair, tmp_path):
         train, test = csv_pair
