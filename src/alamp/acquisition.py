@@ -114,8 +114,11 @@ def coreset_select(features, labeled_ids, unlabeled_ids, batch: int) -> np.ndarr
     covered point (labeled or already selected) is largest; ties go to the
     lowest sample id. `features` is indexed by sample id (row = id).
 
-    Distances are sqrt(max(|u|^2 + |c|^2 - 2 u.c, 0)) to the nearest centre c:
+    Distances are sqrt(|u|^2 + |c|^2 - 2 u.c) to the nearest centre c:
     n_unlabeled x 2048 temporaries per labeled block, n_unlabeled per pick.
+    A squared distance within the expansion's rounding error,
+    2 (dim + 2) eps (|u|^2 + |c|^2), reads as 0, so coincident points tie
+    exactly and the tie rule holds for them too.
     """
     features = np.asarray(features, dtype=np.float64)
     labeled = np.asarray(labeled_ids, dtype=np.int64)
@@ -127,10 +130,16 @@ def coreset_select(features, labeled_ids, unlabeled_ids, batch: int) -> np.ndarr
 
     u_feats = features[unlabeled]
     u_sq = (u_feats ** 2).sum(axis=1)
+    tol = 2.0 * (features.shape[1] + 2) * np.finfo(np.float64).eps
 
     def nearest(centres):
-        sq = u_sq[:, None] + (centres ** 2).sum(axis=1) - 2.0 * (u_feats @ centres.T)
-        return np.sqrt(np.maximum(sq, 0.0).min(axis=1))
+        norms = u_sq[:, None] + (centres ** 2).sum(axis=1)
+        sq = u_feats @ centres.T
+        sq *= -2.0
+        sq += norms
+        norms *= tol
+        sq[sq <= norms] = 0.0
+        return np.sqrt(sq.min(axis=1))
 
     min_dist = np.full(len(unlabeled), np.inf)
     for start in range(0, len(labeled), 2048):

@@ -11,6 +11,12 @@ lone fit has, so every model it yields is bit-identical to training that
 candidate on its own; `train` is the kernel with a grid of one, and
 `gradients`/`objective` remain the reference formula it is tested against.
 
+Cross-validation trains its folds concurrently, one thread per fold, when
+their matrix products are small enough that BLAS runs each on one thread:
+the folds are independent, and numpy releases the interpreter lock inside
+their products and array loops. Fold accuracies are reduced in fold order,
+so the chosen regularization is the one a serial loop picks.
+
 Features are standardized per dimension using statistics of the training
 (labeled) pool; the scaler is stored on the model, and `standardize` applies
 it to every pool the model scores.
@@ -18,7 +24,9 @@ it to every pool the model scores.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -41,6 +49,12 @@ __all__ = [
 
 GD_ITERATIONS = 500
 DEFAULT_REG_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
+# Multiply-adds (rows x classes x dims) of a fold's products from which
+# OpenBLAS splits each product over several threads: 2 x its default
+# threshold of 65536 x 4. Smaller folds leave cores idle and train
+# concurrently; larger ones already use the cores inside BLAS, where
+# concurrent callers only queue for its level-3 lock, so they train in turn.
+CONCURRENT_FOLD_WORK = 2 * 65536 * 4
 
 
 class ClassifierError(ValueError):
@@ -172,7 +186,8 @@ def _descend(z, targets, sample_w, regs):
 def _problem(features, labels, cw):
     """Standardized features, +-1 targets and per-sample weights of a fit."""
     mean, scale = _standardizer(features)
-    z = (features - mean) / scale
+    z = features - mean
+    z /= scale
     targets = np.full((len(labels), len(cw)), -1.0)
     targets[np.arange(len(labels)), labels] = 1.0
     return z, targets, cw[labels], mean, scale
@@ -213,9 +228,14 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
 
     Each fold is standardized once and the whole grid is trained on it
     jointly by the descent kernel; every candidate's model is bit-identical
-    to a separate `train` call. Ties go to the smallest candidate. Folds are
-    reduced to the minimum class count when a class is too small, with a
-    floor of 2.
+    to a separate `train` call. The folds train on worker threads, in copies
+    of the caller's context (so `np.errstate` and `np.seterrcall` apply
+    inside them): concurrently, one thread each, while a fold's products are
+    below CONCURRENT_FOLD_WORK, else one after another. Their accuracies are
+    reduced in fold order, and a failure raises the error of the lowest
+    failing fold, as a serial loop would. Ties go to the smallest candidate.
+    Folds are reduced to the minimum class count when a class is too small,
+    with a floor of 2.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -232,26 +252,36 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
         raise ClassifierError("every class needs at least 2 samples for CV")
     folds = min(folds, max(2, min_count))
     n_classes = int(labels.max()) + 1
-
     assignment = _stratified_folds(labels, folds, seed)
-    fold_accs = np.empty((len(grid), folds))
-    for f in range(folds):
+
+    def fold_accuracies(f):
         tr = assignment != f
         va = ~tr
         _check_fit(features[tr], labels[tr], grid)
         cw = class_weights(np.bincount(labels[tr], minlength=n_classes))
         z, targets, sample_w, mean, scale = _problem(features[tr], labels[tr], cw)
         weights, biases = _descend(z, targets, sample_w, grid)
-        z_va = (features[va] - mean) / scale
+        z_va = features[va] - mean
+        z_va /= scale
         preds = np.argmax(z_va @ weights.transpose(0, 2, 1) + biases[:, None, :], axis=2)
-        fold_accs[:, f] = np.mean(preds == labels[va], axis=1)
+        return np.mean(preds == labels[va], axis=1)
+
+    fold_work = (folds - 1) * len(labels) // folds * n_classes * features.shape[1]
+    workers = folds if fold_work < CONCURRENT_FOLD_WORK else 1
+    with ThreadPoolExecutor(max_workers=workers) as executor:
+        futures = [executor.submit(contextvars.copy_context().run, fold_accuracies, f)
+                   for f in range(folds)]
+    # result() re-raises a fold's error: read in fold order, the lowest wins
+    fold_accs = np.stack([future.result() for future in futures], axis=1)
     # argmax takes the first maximum: ties go to the smallest candidate
     return grid[int(np.argmax(fold_accs.mean(axis=1)))]
 
 
 def standardize(model: Model, features) -> np.ndarray:
     """Features scaled as the model saw them in training."""
-    return (features - model.feature_mean) / model.feature_scale
+    z = features - model.feature_mean
+    z /= model.feature_scale
+    return z
 
 
 def decision_values(model: Model, features) -> np.ndarray:

@@ -100,11 +100,11 @@ def _fit(pool: Dataset, cost_sensitive: bool, seed: int) -> Model:
     return classifier.train(pool.features, pool.labels, weights, reg)
 
 
-def _record(k: int, pool: Dataset, selected: np.ndarray,
-            accuracy: float = float("nan")) -> IterationRecord:
-    """Record of iteration k whose labeled pool is `pool`."""
+def _record(k: int, pool: Dataset, selected: np.ndarray) -> IterationRecord:
+    """Record of iteration k whose labeled pool is `pool`; the caller, which
+    owns the test set, fills in accuracy."""
     counts = pool.class_counts()
-    return IterationRecord(iteration=k, labeled_count=pool.n_samples, accuracy=accuracy,
+    return IterationRecord(iteration=k, labeled_count=pool.n_samples, accuracy=float("nan"),
                            class_counts=tuple(counts.tolist()), ir=imbalance_ratio(counts),
                            selected_ids=tuple(selected.tolist()))
 
@@ -114,7 +114,8 @@ def init_pool(train: Dataset, plan: BudgetPlan, seed: int,
     """Random seed batch of size b/t plus the initial model trained on it.
 
     Redraws with an incremented seed (up to 10 attempts) when the draw covers
-    fewer than 2 classes.
+    fewer than 2 classes. Returns the pool state, the model and iteration 0's
+    record, shaped as `step` returns them.
     """
     if plan.total_budget >= train.n_samples:
         raise EngineError("budget must be smaller than the unlabeled pool")
@@ -129,7 +130,7 @@ def init_pool(train: Dataset, plan: BudgetPlan, seed: int,
     unlabeled = np.setdiff1d(train.sample_ids, labeled)
     model = _fit(pool, cost_sensitive, _step_seed(seed, 0))
     state = PoolState(labeled_ids=labeled, unlabeled_ids=unlabeled, iteration=0)
-    return state, model
+    return state, model, _record(0, pool, labeled)
 
 
 def _select(state: PoolState, model: Model, af: str, train: Dataset,
@@ -215,9 +216,8 @@ def run_strategies(train: Dataset, test: Dataset, afs, plan: BudgetPlan,
     if train.dim != test.dim or train.n_classes != test.n_classes:
         raise EngineError("train/test dimensionality or class count mismatch")
 
-    state0, model0 = init_pool(train, plan, seed, cost_sensitive)
-    record0 = _record(0, train.subset(state0.labeled_ids), state0.labeled_ids,
-                      classifier.accuracy(model0, test))
+    state0, model0, record0 = init_pool(train, plan, seed, cost_sensitive)
+    record0 = dataclasses.replace(record0, accuracy=classifier.accuracy(model0, test))
     reports = []
     for af in afs:
         state, model, records = state0, model0, [record0]

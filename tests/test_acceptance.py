@@ -156,7 +156,7 @@ def test_criterion_4_protocol_invariants():
     plan = BudgetPlan(3200, 16)
     assert plan.batch == 200
 
-    state, model = init_pool(train, plan, 0)
+    state, model, _ = init_pool(train, plan, 0)
     all_ids = set(train.sample_ids.tolist())
     seen = set(state.labeled_ids.tolist())
     labeled_counts = [len(state.labeled_ids)]
@@ -173,7 +173,7 @@ def test_criterion_4_protocol_invariants():
     assert labeled_counts == list(range(200, 3201, 200))
 
     # alamp's first selection equals margin's under a shared seed
-    state0, model0 = init_pool(train, plan, 3)
+    state0, model0, _ = init_pool(train, plan, 3)
     _, _, rec_alamp = step(state0, model0, "alamp", train, 3, plan.batch)
     _, _, rec_margin = step(state0, model0, "margin", train, 3, plan.batch)
     assert rec_alamp.selected_ids == rec_margin.selected_ids

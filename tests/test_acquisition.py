@@ -177,6 +177,16 @@ class TestCoresetSelect:
         locations = [(i - 1) % 12 for i in sel]
         assert sorted(locations[:12]) == list(range(12))
 
+    def test_coincident_twins_tie_to_lowest_id(self):
+        rng = np.random.default_rng(2)
+        labeled = 10.0 * rng.normal(size=(1, 4))
+        distinct = 10.0 * rng.normal(size=(12, 4))
+        # row 0 labeled; rows 1-12 distinct, 13-24 their twins, 25-27 twins of row 0
+        feats = np.vstack([labeled, distinct, distinct, labeled, labeled, labeled])
+        sel = coreset_select(feats, [0], list(range(1, 28)), 27).tolist()
+        assert sorted(sel[:12]) == list(range(1, 13))
+        assert sel[12:] == list(range(13, 28))
+
     def test_empty_labeled_rejected(self):
         with pytest.raises(AcquisitionError):
             coreset_select(np.zeros((2, 1)), [], [0, 1], 1)

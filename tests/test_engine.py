@@ -38,17 +38,22 @@ class TestBudgetPlan:
 class TestInitPool:
     def test_sizes_and_partition(self, pools):
         train, _ = pools
-        state, model = init_pool(train, PLAN, 0)
+        state, model, record = init_pool(train, PLAN, 0)
         assert len(state.labeled_ids) == 30
         assert len(state.unlabeled_ids) == train.n_samples - 30
         assert set(state.labeled_ids).isdisjoint(state.unlabeled_ids)
         assert state.prev_probs is None
         assert model.n_classes == train.n_classes
+        # iteration 0's record describes the seed batch; accuracy is the caller's
+        assert (record.iteration, record.labeled_count) == (0, 30)
+        assert record.selected_ids == tuple(state.labeled_ids.tolist())
+        assert record.class_counts == tuple(train.subset(state.labeled_ids).class_counts().tolist())
+        assert np.isnan(record.accuracy)
 
     def test_deterministic(self, pools):
         train, _ = pools
-        a, _ = init_pool(train, PLAN, 3)
-        b, _ = init_pool(train, PLAN, 3)
+        a, _, _ = init_pool(train, PLAN, 3)
+        b, _, _ = init_pool(train, PLAN, 3)
         assert np.array_equal(a.labeled_ids, b.labeled_ids)
 
     def test_budget_must_fit_pool(self, pools):
@@ -60,7 +65,7 @@ class TestInitPool:
 class TestStep:
     def test_pool_conservation_and_no_relabel(self, pools):
         train, _ = pools
-        state, model = init_pool(train, PLAN, 0)
+        state, model, _ = init_pool(train, PLAN, 0)
         seen = set(state.labeled_ids.tolist())
         for _ in range(3):
             state, model, record = step(state, model, "margin", train, 0, PLAN.batch)
@@ -72,7 +77,7 @@ class TestStep:
 
     def test_random_delegates_to_random_select(self, pools):
         train, _ = pools
-        state, model = init_pool(train, PLAN, 0)
+        state, model, _ = init_pool(train, PLAN, 0)
         new_state, _, record = step(state, model, "random", train, 7, PLAN.batch)
         from alamp.engine import _step_seed
         expected = acquisition.random_select(state.unlabeled_ids, PLAN.batch,
@@ -83,7 +88,7 @@ class TestStep:
     def test_alamp_uses_injected_probability_history(self, pools):
         """Hand-ranked fixture: selection = descending shift order's top batch."""
         train, _ = pools
-        state, model = init_pool(train, PLAN, 0)
+        state, model, _ = init_pool(train, PLAN, 0)
         state, model, _ = step(state, model, "alamp", train, 0, PLAN.batch)
 
         ids = state.unlabeled_ids[:6]
@@ -97,7 +102,7 @@ class TestStep:
 
     def test_alamp_precondition_maintained(self, pools):
         train, _ = pools
-        state, model = init_pool(train, PLAN, 0)
+        state, model, _ = init_pool(train, PLAN, 0)
         for _ in range(3):
             state, model, _ = step(state, model, "alamp", train, 0, PLAN.batch)
             prev_ids = set(state.prev_probs.sample_ids.tolist())
@@ -105,13 +110,13 @@ class TestStep:
 
     def test_pool_exhaustion(self, pools):
         train, _ = pools
-        state, model = init_pool(train, PLAN, 0)
+        state, model, _ = init_pool(train, PLAN, 0)
         with pytest.raises(EngineError):
             step(state, model, "margin", train, 0, len(state.unlabeled_ids) + 1)
 
     def test_unknown_af(self, pools):
         train, _ = pools
-        state, model = init_pool(train, PLAN, 0)
+        state, model, _ = init_pool(train, PLAN, 0)
         with pytest.raises(EngineError):
             step(state, model, "entropy", train, 0, PLAN.batch)
 
