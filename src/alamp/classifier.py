@@ -11,11 +11,10 @@ lone fit has, so every model it yields is bit-identical to training that
 candidate on its own; `train` is the kernel with a grid of one, and
 `gradients`/`objective` remain the reference formula it is tested against.
 
-Cross-validation trains its folds concurrently, one thread per fold, when
-their matrix products are small enough that BLAS runs each on one thread:
-the folds are independent, and numpy releases the interpreter lock inside
-their products and array loops. Fold accuracies are reduced in fold order,
-so the chosen regularization is the one a serial loop picks.
+Cross-validation trains its folds concurrently, one thread per fold: the
+folds are independent, and numpy releases the interpreter lock inside their
+products and array loops. Fold accuracies are reduced in fold order, so the
+chosen regularization is the one a serial loop picks.
 
 Features are standardized per dimension using statistics of the training
 (labeled) pool; the scaler is stored on the model, and `standardize` applies
@@ -49,12 +48,6 @@ __all__ = [
 
 GD_ITERATIONS = 500
 DEFAULT_REG_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
-# Multiply-adds (rows x classes x dims) of a fold's products from which
-# OpenBLAS splits each product over several threads: 2 x its default
-# threshold of 65536 x 4. Smaller folds leave cores idle and train
-# concurrently; larger ones already use the cores inside BLAS, where
-# concurrent callers only queue for its level-3 lock, so they train in turn.
-CONCURRENT_FOLD_WORK = 2 * 65536 * 4
 
 
 class ClassifierError(ValueError):
@@ -228,12 +221,11 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
 
     Each fold is standardized once and the whole grid is trained on it
     jointly by the descent kernel; every candidate's model is bit-identical
-    to a separate `train` call. The folds train on worker threads, in copies
-    of the caller's context (so `np.errstate` and `np.seterrcall` apply
-    inside them): concurrently, one thread each, while a fold's products are
-    below CONCURRENT_FOLD_WORK, else one after another. Their accuracies are
-    reduced in fold order, and a failure raises the error of the lowest
-    failing fold, as a serial loop would. Ties go to the smallest candidate.
+    to a separate `train` call. The folds train concurrently, one thread
+    each, in copies of the caller's context (so `np.errstate` and
+    `np.seterrcall` apply inside them). Their accuracies are reduced in fold
+    order, and a failure raises the error of the lowest failing fold, as a
+    serial loop would. Ties go to the smallest candidate.
     Folds are reduced to the minimum class count when a class is too small,
     with a floor of 2.
     """
@@ -266,9 +258,7 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
         preds = np.argmax(z_va @ weights.transpose(0, 2, 1) + biases[:, None, :], axis=2)
         return np.mean(preds == labels[va], axis=1)
 
-    fold_work = (folds - 1) * len(labels) // folds * n_classes * features.shape[1]
-    workers = folds if fold_work < CONCURRENT_FOLD_WORK else 1
-    with ThreadPoolExecutor(max_workers=workers) as executor:
+    with ThreadPoolExecutor(max_workers=folds) as executor:
         futures = [executor.submit(contextvars.copy_context().run, fold_accuracies, f)
                    for f in range(folds)]
     # result() re-raises a fold's error: read in fold order, the lowest wins
