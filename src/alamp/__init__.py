@@ -4,6 +4,12 @@ Acquisition strategies: random, margin uncertainty, greedy k-center coreset,
 the cross-iteration certainty-shift score (alamp), and pseudo-class
 diversified variants (alamp-div, rand-div, marg-div), driven by a
 deterministic linear one-vs-rest classifier.
+
+The acquisition functions take and return arrays aligned with sample ids:
+`margin_scores(probs)` and `alamp_scores(prev, curr)` give a `ScoredPool`
+whose `scores[i]` belongs to `sample_ids[i]`, `pseudo_classes(probs)` gives
+the class of each `probs.sample_ids` entry, and `diversify(ordered_ids, ids,
+classes, batch)` reads the pseudo class of `ids[i]` from `classes[i]`.
 """
 
 from .acquisition import (

@@ -4,14 +4,19 @@ Implements random selection, margin uncertainty sampling, greedy k-center
 coreset selection, the cross-iteration certainty-shift score (alamp), and the
 pseudo-class diversification pass used by the *-div strategies.
 
-All orderings break ties by ascending sample id so results are reproducible
+Per-sample values are arrays aligned with an id array: `scores[i]` of a
+`ScoredPool` and `probs[i]` of a `ProbMatrix` belong to `sample_ids[i]`,
+`pseudo_classes` gives one class per `ProbMatrix` row, and `diversify` reads
+the pseudo class of `ids[i]` from `classes[i]`; ids are matched by value.
+
+Orderings break ties by ascending sample id, and `coreset_select`, which works
+on rows of its feature matrix, by the lowest row, so results are reproducible
 across platforms and thread counts.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Mapping
 
 import numpy as np
 
@@ -23,11 +28,9 @@ __all__ = [
     "AcquisitionError",
     "margin_scores",
     "alamp_scores",
-    "shift_scores",
     "random_select",
     "coreset_select",
     "diversify",
-    "diversify_classes",
     "pseudo_classes",
 ]
 
@@ -74,23 +77,15 @@ def margin_scores(probs: ProbMatrix) -> ScoredPool:
     return _pool(probs.sample_ids, scores, descending=False)
 
 
-def alamp_scores(marg_prev: Mapping[int, float],
-                 marg_curr: Mapping[int, float]) -> ScoredPool:
-    """Relative certainty shift between iterations, ordered descending.
+def alamp_scores(prev: ScoredPool, curr: ScoredPool) -> ScoredPool:
+    """Relative certainty shift between the previous and current model's
+    margin pools (`margin_scores`), ordered descending.
 
     score(x) = (m_prev - m_curr) / (m_prev + m_curr); 0 when both margins are
     zero. Samples whose prediction moved from certain to uncertain rank first.
+    Every id of `curr` is scored, and each must have a margin in `prev` (the
+    unlabeled pool only shrinks); ids of `prev` outside `curr` are ignored.
     """
-    def pool(margins):
-        ids = np.array(sorted(margins), dtype=np.int64)
-        scores = np.array([margins[i] for i in ids.tolist()], dtype=np.float64)
-        return _pool(ids, scores, descending=False)
-    return shift_scores(pool(marg_prev), pool(marg_curr))
-
-
-def shift_scores(prev: ScoredPool, curr: ScoredPool) -> ScoredPool:
-    """`alamp_scores` over margin pools: scores every id of `curr`, each of
-    which must have a margin in `prev` (the unlabeled pool only shrinks)."""
     prev_m = prev.scores[_positions(prev.sample_ids, curr.sample_ids,
                                     "previous-iteration margin")]
     total = prev_m + curr.scores
@@ -110,9 +105,10 @@ def random_select(pool_ids, batch: int, seed: int) -> np.ndarray:
 def coreset_select(features, labeled_ids, unlabeled_ids, batch: int) -> np.ndarray:
     """Greedy k-center selection (min-max coverage of the feature space).
 
-    Repeatedly picks the unlabeled point whose distance to its nearest
-    covered point (labeled or already selected) is largest; ties go to the
-    lowest sample id. `features` is indexed by sample id (row = id).
+    `labeled_ids` and `unlabeled_ids` are row indices into `features`, and
+    the picks are rows too. Repeatedly picks the unlabeled row whose distance
+    to its nearest covered row (labeled or already selected) is largest; ties
+    go to the lowest row.
 
     Distances are sqrt(|u|^2 + |c|^2 - 2 u.c) to the nearest centre c:
     n_unlabeled x 2048 temporaries per labeled block, n_unlabeled per pick.
@@ -147,26 +143,20 @@ def coreset_select(features, labeled_ids, unlabeled_ids, batch: int) -> np.ndarr
 
     picks = []
     for _ in range(batch):
-        pick = int(np.argmax(min_dist))  # argmax returns the first (lowest id) max
+        pick = int(np.argmax(min_dist))  # argmax returns the first (lowest row) max
         picks.append(pick)
         min_dist = np.minimum(min_dist, nearest(u_feats[pick:pick + 1]))
         min_dist[pick] = -np.inf
     return unlabeled[picks]
 
 
-def diversify(ordered_ids, pseudo: Mapping[int, int], batch: int) -> np.ndarray:
-    """Spread a ranked selection across pseudo classes.
+def diversify(ordered_ids, ids, classes, batch: int) -> np.ndarray:
+    """Spread a ranked selection across pseudo classes; the pseudo class of
+    ids[i] is classes[i], and every ranked id must be among `ids`.
 
     Repeated passes over the ranking: within a pass each pseudo class
     contributes at most one new sample. Passes repeat until the batch is
     filled; the result keeps selection order and is truncated to the batch.
-    """
-    return diversify_classes(ordered_ids, list(pseudo), list(pseudo.values()), batch)
-
-
-def diversify_classes(ordered_ids, ids, classes, batch: int) -> np.ndarray:
-    """`diversify` with the pseudo class of ids[i] given as classes[i].
-
     Pass p takes the p-th ranked sample of each class, in ranking order, so
     the selection is a stable sort by (rank within class, position in the
     ranking), cut to the batch.
@@ -184,7 +174,7 @@ def diversify_classes(ordered_ids, ids, classes, batch: int) -> np.ndarray:
     return ordered[np.argsort(rank, kind="stable")[:batch]]
 
 
-def pseudo_classes(probs: ProbMatrix) -> dict:
-    """Predicted class per scored sample (argmax, ties to lowest class id)."""
-    top = np.argmax(probs.probs, axis=1)
-    return {int(s): int(c) for s, c in zip(probs.sample_ids, top)}
+def pseudo_classes(probs: ProbMatrix) -> np.ndarray:
+    """Predicted class of each row of `probs`, aligned with `probs.sample_ids`
+    (argmax, ties to the lowest class id)."""
+    return np.argmax(probs.probs, axis=1)

@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error (a bad flag, config
 value, dataset parameter or file, or budget plan). `run` and
 `compare` also read their flags from a JSON config file (--config); explicit
 flags override file values, which override the defaults. Config files are
-strict: an unknown key or a value of the wrong JSON type is a usage error.
+strict: an unknown key or a value of the wrong JSON type is a usage error;
+each key has its flag's type, so seeds, strategies and --synth are strings.
 Seeds must be distinct non-negative integers, and --synth excludes --train and
 --test; every setting is checked before any data is loaded. `compare` runs all
 strategies of one seed from that seed's shared batch and initial model.
@@ -33,14 +34,14 @@ RUNTIME_ERROR = 1
 DEFAULTS = {"budget": 3200, "iters": 16, "seeds": "0..4", "cost_sensitive": True,
             "out": ".", "format": "json"}
 
-# The JSON types each config key may have; `run` takes `af`, `compare` takes
-# `afs`. Flags are typed by argparse.
+# The one JSON type of each config key, that of its flag's value; `run` takes
+# `af`, `compare` takes `afs`. Flags are typed by argparse.
 CONFIG_TYPES = {
-    "train": (str,), "test": (str,), "synth": (str, list), "budget": (int,),
-    "iters": (int,), "seeds": (str, int), "cost_sensitive": (bool,),
-    "out": (str,), "format": (str,), "af": (str,), "afs": (str, list),
+    "train": str, "test": str, "synth": str, "budget": int, "iters": int,
+    "seeds": str, "cost_sensitive": bool, "out": str, "format": str,
+    "af": str, "afs": str,
 }
-JSON_TYPE_NAMES = {str: "string", int: "integer", bool: "boolean", list: "array"}
+JSON_TYPE_NAMES = {str: "string", int: "integer", bool: "boolean"}
 
 
 class CliError(Exception):
@@ -83,11 +84,10 @@ def _load_config(args: argparse.Namespace) -> None:
         if key not in accepted:
             raise CliError(f"unknown config key {key!r}; {args.command} accepts "
                            f"{', '.join(accepted)}")
-        kinds = CONFIG_TYPES[key]
-        # bool is a subclass of int, but true/false is not an integer
-        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-            names = " or ".join(JSON_TYPE_NAMES[kind] for kind in kinds)
-            raise CliError(f"config key {key!r} must be a JSON {names}, got {value!r}")
+        kind = CONFIG_TYPES[key]
+        if type(value) is not kind:  # exact, as true/false is not an integer
+            raise CliError(f"config key {key!r} must be a JSON {JSON_TYPE_NAMES[kind]}, "
+                           f"got {value!r}")
     for key in accepted:
         if getattr(args, key) is None:
             setattr(args, key, config.get(key, DEFAULTS.get(key)))
@@ -111,11 +111,8 @@ def _load_pair(args):
     raise CliError("provide --train and --test CSVs, or --synth parameters")
 
 
-def _parse_synth(spec):
-    if isinstance(spec, (list, tuple)):
-        parts = list(spec)
-    else:
-        parts = str(spec).split(",")
+def _parse_synth(spec: str):
+    parts = spec.split(",")
     if len(parts) != 5:
         raise CliError("--synth expects n_classes,per_class,dim,cluster_std,seed")
     try:
@@ -139,7 +136,7 @@ def _run_grid(afs, args):
             raise CliError(f"unknown acquisition function {af!r}; "
                            f"choose from {', '.join(engine.AF_NAMES)}")
     plan = engine.BudgetPlan(total_budget=args.budget, iterations=args.iters)
-    seeds = parse_seeds(str(args.seeds))
+    seeds = parse_seeds(args.seeds)
     train, test, name = _load_pair(args)
 
     os.makedirs(args.out, exist_ok=True)
@@ -168,11 +165,10 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     _load_config(args)
-    afs = args.afs
-    if afs is None:
+    if args.afs is None:
         afs = list(engine.AF_NAMES)
-    elif isinstance(afs, str):
-        afs = [a.strip() for a in afs.split(",") if a.strip()]
+    else:
+        afs = [a.strip() for a in args.afs.split(",") if a.strip()]
     if "random" not in afs:
         afs = ["random"] + afs
     afs = list(dict.fromkeys(afs))

@@ -154,7 +154,7 @@ def _select(state: PoolState, model: Model, af: str, train: Dataset,
     # its margins, and alamp-div spreads over its pseudo classes.
     ranked, pseudo_from = acquisition.margin_scores(probs), probs
     if af in ("alamp", "alamp-div") and state.prev_probs is not None:
-        ranked = acquisition.shift_scores(
+        ranked = acquisition.alamp_scores(
             acquisition.margin_scores(state.prev_probs), ranked)
         pseudo_from = state.prev_probs
     if af in ("margin", "alamp"):
@@ -165,8 +165,8 @@ def _select(state: PoolState, model: Model, af: str, train: Dataset,
         order = np.random.default_rng(seed).permutation(np.sort(unlabeled))
     else:
         raise EngineError(f"unknown acquisition function {af!r}")
-    return acquisition.diversify_classes(order, pseudo_from.sample_ids,
-                                         np.argmax(pseudo_from.probs, axis=1), batch)
+    return acquisition.diversify(order, pseudo_from.sample_ids,
+                                 acquisition.pseudo_classes(pseudo_from), batch)
 
 
 def step(state: PoolState, model: Model, af: str, train: Dataset, seed: int,

@@ -140,13 +140,17 @@ def read_report(path) -> Report:
 def aggregate(reports) -> dict:
     """Mean and population std of accuracy and labeled-pool ir per iteration.
 
-    All reports must share the same budget plan and iterations.
+    All reports must share their meta, the seed aside, and their iterations.
     """
     reports = list(reports)
     if not reports:
         raise ValueError("no reports to aggregate")
+    meta = dataclasses.replace(reports[0].meta, seed=None)
     iterations = [r.iteration for r in reports[0].records]
     for report in reports[1:]:
+        if dataclasses.replace(report.meta, seed=None) != meta:
+            raise ValueError(f"report of seed {report.meta.seed} has meta {report.meta}, "
+                             f"which differs from {reports[0].meta} in more than the seed")
         if [r.iteration for r in report.records] != iterations:
             raise ValueError(f"report of seed {report.meta.seed} has iterations "
                              f"other than {iterations}")

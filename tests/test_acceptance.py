@@ -15,12 +15,7 @@ import numpy as np
 import pytest
 
 from alamp import acquisition, classifier, engine, metrics
-from alamp.acquisition import (
-    alamp_scores,
-    coreset_select,
-    diversify,
-    margin_scores,
-)
+from alamp.acquisition import ScoredPool, coreset_select, margin_scores
 from alamp.classifier import ProbMatrix, gradients, objective, predict, predict_proba
 from alamp.dataset import (
     imbalance_ratio,
@@ -37,6 +32,20 @@ PASS_LINE = "ACCEPTANCE {num} ({name}): PASS"
 
 def report_pass(num, name):
     print(PASS_LINE.format(num=num, name=name))
+
+
+def alamp_scores(marg_prev, marg_curr):
+    """`acquisition.alamp_scores` on {sample id: margin} fixtures."""
+    def pool(margins):
+        ids = np.array(sorted(margins), dtype=np.int64)
+        scores = np.array([margins[i] for i in ids.tolist()], dtype=np.float64)
+        return ScoredPool(sample_ids=ids, scores=scores, order=ids[np.lexsort((ids, scores))])
+    return acquisition.alamp_scores(pool(marg_prev), pool(marg_curr))
+
+
+def diversify(ordered, pseudo, batch):
+    """`acquisition.diversify` on a {sample id: pseudo class} fixture."""
+    return acquisition.diversify(ordered, list(pseudo), list(pseudo.values()), batch)
 
 
 def test_criterion_1_formula_fidelity():

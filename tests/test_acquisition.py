@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from alamp import acquisition
 from alamp.acquisition import (
     AcquisitionError,
-    alamp_scores,
+    ScoredPool,
     coreset_select,
-    diversify,
     margin_scores,
-    pseudo_classes,
     random_select,
 )
 from alamp.classifier import ProbMatrix
@@ -19,6 +18,28 @@ def probs_of(rows, ids=None):
     if ids is None:
         ids = np.arange(len(rows))
     return ProbMatrix(probs=rows, sample_ids=np.asarray(ids, dtype=np.int64))
+
+
+def margin_pool(margins):
+    """A margin ScoredPool (ascending) from a {sample id: margin} fixture."""
+    ids = np.array(sorted(margins), dtype=np.int64)
+    scores = np.array([margins[i] for i in ids.tolist()], dtype=np.float64)
+    return ScoredPool(sample_ids=ids, scores=scores, order=ids[np.lexsort((ids, scores))])
+
+
+def alamp_scores(marg_prev, marg_curr):
+    """`acquisition.alamp_scores` on {sample id: margin} fixtures."""
+    return acquisition.alamp_scores(margin_pool(marg_prev), margin_pool(marg_curr))
+
+
+def diversify(ordered, pseudo, batch):
+    """`acquisition.diversify` on a {sample id: pseudo class} fixture."""
+    return acquisition.diversify(ordered, list(pseudo), list(pseudo.values()), batch)
+
+
+def pseudo_classes(probs):
+    """`acquisition.pseudo_classes` as a {sample id: class} dict."""
+    return dict(zip(probs.sample_ids.tolist(), acquisition.pseudo_classes(probs).tolist()))
 
 
 class TestMarginScores:

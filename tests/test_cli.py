@@ -340,6 +340,26 @@ class TestStrictConfig:
         assert rc == 2
         assert f"'{key}' must be a JSON integer" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("synth", [3, 30, 4, 0.5, 0]), ("synth", ["3", "30", "4", "0.5", "0"]),
+        ("seeds", 0), ("seeds", [0, 1])])
+    def test_non_string_seeds_or_synth_rejected(self, csv_pair, tmp_path, capsys, key, value):
+        rc, err = self.run_with_config(csv_pair, tmp_path, capsys, **{key: value})
+        assert rc == 2
+        assert f"config key '{key}' must be a JSON string, got {value!r}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_afs_array_rejected(self, csv_pair, tmp_path, capsys):
+        train, test = csv_pair
+        cfg_path = tmp_path / "compare.json"
+        cfg_path.write_text(json.dumps({"train": train, "test": test, "afs": ["margin"],
+                                        "budget": 40, "iters": 2, "seeds": "0",
+                                        "out": str(tmp_path / "out")}))
+        rc = main(["compare", "--config", str(cfg_path)])
+        assert rc == 2
+        assert "config key 'afs' must be a JSON string, got ['margin']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_format_rejected_before_running(self, csv_pair, tmp_path, capsys):
         rc, err = self.run_with_config(csv_pair, tmp_path, capsys, format="xml")
         assert rc == 2

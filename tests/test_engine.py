@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -86,19 +88,45 @@ class TestStep:
         assert new_state.iteration == 1
 
     def test_alamp_uses_injected_probability_history(self, pools):
-        """Hand-ranked fixture: selection = descending shift order's top batch."""
+        """`step` ranks by the shift from a hand-built previous model and
+        alamp-div spreads over that model's pseudo classes."""
         train, _ = pools
         state, model, _ = init_pool(train, PLAN, 0)
-        state, model, _ = step(state, model, "alamp", train, 0, PLAN.batch)
+        ids = state.unlabeled_ids
+        # previous model: pseudo class c and a margin near m per id, as the
+        # two-hot row p[c] = (1 + m) / 2, p[c + 1] = (1 - m) / 2
+        m = np.random.default_rng(11).uniform(0.05, 0.95, size=len(ids))
+        prev_class = np.arange(len(ids)) % 3
+        rows = np.zeros((len(ids), train.n_classes))
+        rows[np.arange(len(ids)), prev_class] = (1 + m) / 2
+        rows[np.arange(len(ids)), prev_class + 1] = (1 - m) / 2
+        state = dataclasses.replace(state, prev_probs=classifier.ProbMatrix(
+            probs=rows, sample_ids=ids))
+        curr = classifier.predict_proba(model, train.features[train.rows_for(ids)], ids)
 
-        ids = state.unlabeled_ids[:6]
-        # previous margins high (certain), current margins chosen so the
-        # shift ranking is ids[3] > ids[1] > ids[5] > ids[0] > ids[2] > ids[4]
-        prev = {int(i): m for i, m in zip(ids, [0.5, 0.8, 0.4, 0.9, 0.3, 0.7])}
-        curr = {int(i): m for i, m in zip(ids, [0.4, 0.2, 0.5, 0.1, 0.6, 0.3])}
-        pool = acquisition.alamp_scores(prev, curr)
-        expected = [int(ids[3]), int(ids[1]), int(ids[5])]
-        assert list(pool.order[:3]) == expected
+        def margin(probs):
+            top2 = np.sort(probs, axis=1)[:, -2:]
+            return top2[:, 1] - top2[:, 0]
+
+        prev_m, curr_m = margin(rows), margin(curr.probs)
+        shift_order = ids[np.lexsort((ids, -(prev_m - curr_m) / (prev_m + curr_m)))]
+
+        def picks(af):
+            return np.array(step(state, model, af, train, 0, PLAN.batch)[2].selected_ids)
+
+        alamp = picks("alamp")
+        assert alamp.tolist() == shift_order[:PLAN.batch].tolist()
+        assert set(alamp.tolist()) != set(picks("margin").tolist())
+
+        spread = picks("alamp-div")
+        curr_class = np.argmax(curr.probs, axis=1)
+        assert spread.tolist() == acquisition.diversify(
+            shift_order, ids, prev_class, PLAN.batch).tolist()
+        assert spread.tolist() != acquisition.diversify(
+            shift_order, ids, curr_class, PLAN.batch).tolist()
+        # one pick per previous pseudo class per pass: 30 picks, 10 per class
+        taken = np.bincount(prev_class[np.searchsorted(ids, spread)], minlength=3)
+        assert taken.tolist() == [10, 10, 10]
 
     def test_alamp_precondition_maintained(self, pools):
         train, _ = pools

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -157,6 +158,15 @@ class TestAggregate:
     def test_differing_iterations_rejected(self, other):
         with pytest.raises(ValueError):
             aggregate([make_report([0.4, 0.6]), make_report(other)])
+
+    @pytest.mark.parametrize("field, value", [
+        ("total_budget", 60), ("iterations", 2), ("af", "random"),
+        ("dataset", "other"), ("cost_sensitive", False)])
+    def test_differing_meta_rejected(self, field, value):
+        other = Report(meta=dataclasses.replace(META, seed=1, **{field: value}),
+                       records=make_report([0.6, 0.8]).records)
+        with pytest.raises(ValueError, match="more than the seed"):
+            aggregate([make_report([0.4, 0.6]), other])
 
     def test_shuffled_records_give_the_same_rows(self):
         reps = [make_report([0.4, 0.6, 0.5]), make_report([0.6, 0.8, 0.7])]
