@@ -6,10 +6,13 @@ fixed iteration budget make training bit-reproducible: the same inputs always
 yield the same model, regardless of seed or thread count.
 
 One descent kernel trains a whole regularization grid jointly, the candidates
-stacked on a leading axis. Each candidate's matrix products keep the shapes a
-lone fit has, so every model it yields is bit-identical to training that
-candidate on its own; `train` is the kernel with a grid of one, and
-`gradients`/`objective` remain the reference formula it is tested against.
+stacked on a leading axis of the parameters. Its margins are one sample-major
+(n, G, C) buffer, so the elementwise passes run over contiguous rows of all G
+candidates' C classes, and each candidate's matrix products reach the buffer
+through transposed views with the shapes a lone fit has. Every model it yields
+is therefore bit-identical to training that candidate on its own; `train` is
+the kernel with a grid of one, and `gradients`/`objective` remain the
+reference formula it is tested against.
 
 Cross-validation trains its folds concurrently, one thread per fold: the
 folds are independent, and numpy releases the interpreter lock inside their
@@ -135,11 +138,15 @@ def _check_fit(features, labels, regs) -> None:
 def _descend(z, targets, sample_w, regs):
     """GD_ITERATIONS full-batch steps from zero for every reg in `regs` at once.
 
-    Candidates sit on a leading axis: weights (G, C, d), biases (G, C). Each
-    step does what `gradients` and the update in `train` spell out, in the
-    same order of floating-point operations, and the batched matmuls run one
-    GEMM per candidate of the shape a single fit uses, so each candidate's
-    result is bit-identical to descending on it alone.
+    Candidates sit on a leading axis of the parameters: weights (G, C, d),
+    biases (G, C). The margins are sample-major, one (n, G, C) buffer, so the
+    bias add, the elementwise passes and the bias-gradient sum over n run
+    over contiguous rows of G*C values. Each step does what `gradients` and
+    the update in `train` spell out, in the same order of floating-point
+    operations, and the two matmuls reach the buffer through transposed views:
+    one GEMM per candidate of the shape a lone fit uses, only with a wider
+    leading dimension, so each candidate's result is bit-identical to
+    descending on it alone.
     """
     regs = np.asarray(regs, dtype=np.float64)
     lr_b = (0.1 / (1.0 + regs))[:, None]
@@ -147,28 +154,33 @@ def _descend(z, targets, sample_w, regs):
     two_reg = (2.0 * regs)[:, None, None]
     n, dim = z.shape
     n_regs, n_classes = len(regs), targets.shape[1]
-    weighted_targets = sample_w[:, None] * targets
+    shape = (n, n_regs, n_classes)
+    tiled_targets = np.broadcast_to(targets[:, None, :], shape).copy()
+    weighted_targets = np.broadcast_to((sample_w[:, None] * targets)[:, None, :], shape).copy()
     scale = -2.0 / n
 
     weights = np.zeros((n_regs, n_classes, dim))
     biases = np.zeros((n_regs, n_classes))
-    margins = np.empty((n_regs, n, n_classes))
+    margins = np.empty(shape)
     grad_w = np.empty_like(weights)
     penalty = np.empty_like(weights)
     grad_b = np.empty_like(biases)
+    weights_t = weights.transpose(0, 2, 1)      # (G, d, C)
+    margins_out = margins.transpose(1, 0, 2)    # (G, n, C)
+    margins_t = margins.transpose(1, 2, 0)      # (G, C, n)
     for _ in range(GD_ITERATIONS):
-        np.matmul(z, weights.transpose(0, 2, 1), out=margins)
-        margins += biases[:, None, :]
+        np.matmul(z, weights_t, out=margins_out)
+        margins += biases
         # margins becomes the gradient w.r.t. the margins, in place
-        np.multiply(targets, margins, out=margins)
+        np.multiply(tiled_targets, margins, out=margins)
         np.subtract(1.0, margins, out=margins)
         np.maximum(0.0, margins, out=margins)
         margins *= weighted_targets
         margins *= scale
-        np.matmul(margins.transpose(0, 2, 1), z, out=grad_w)
+        np.matmul(margins_t, z, out=grad_w)
         np.multiply(two_reg, weights, out=penalty)
         grad_w += penalty
-        margins.sum(axis=1, out=grad_b)
+        margins.sum(axis=0, out=grad_b)
         grad_w *= lr_w
         weights -= grad_w
         grad_b *= lr_b
@@ -216,8 +228,13 @@ def _stratified_folds(labels: np.ndarray, folds: int, seed: int):
 
 
 def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
-                     folds: int = 3, seed: int = 0) -> float:
+                     folds: int = 3, seed: int = 0,
+                     cost_sensitive: bool = True) -> float:
     """Pick the regularization strength by stratified k-fold CV accuracy.
+
+    Each fold trains with the cost-sensitive class weights of its own
+    training part, or with unit weights when `cost_sensitive` is False, as
+    the final fit does.
 
     Each fold is standardized once and the whole grid is trained on it
     jointly by the descent kernel; every candidate's model is bit-identical
@@ -250,7 +267,10 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
         tr = assignment != f
         va = ~tr
         _check_fit(features[tr], labels[tr], grid)
-        cw = class_weights(np.bincount(labels[tr], minlength=n_classes))
+        if cost_sensitive:
+            cw = class_weights(np.bincount(labels[tr], minlength=n_classes))
+        else:
+            cw = np.ones(n_classes)
         z, targets, sample_w, mean, scale = _problem(features[tr], labels[tr], cw)
         weights, biases = _descend(z, targets, sample_w, grid)
         z_va = features[va] - mean

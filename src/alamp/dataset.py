@@ -8,6 +8,7 @@ selections made on a derived dataset can be traced back to the source rows.
 from __future__ import annotations
 
 import dataclasses
+import io
 
 import numpy as np
 
@@ -113,50 +114,74 @@ def positions(ids, wanted) -> np.ndarray:
     return order[np.searchsorted(ids, wanted, sorter=order)]
 
 
+def _check_finite(features, linenos, n_rows) -> None:
+    """Raise the error of the first of `n_rows` parsed rows with a non-finite value."""
+    if features is None:
+        return
+    finite = np.isfinite(features[:n_rows]).all(axis=1)
+    if not finite.all():
+        raise DatasetError(f"line {linenos[np.argmin(finite)]}: non-finite feature value")
+
+
 def load_dataset(path) -> Dataset:
     """Parse a dataset CSV: one `label,f1,...,fd` row per sample, no header.
 
     Sample ids are assigned 0..n_samples-1 in file order. Malformed rows are
-    reported with their 1-based line number.
+    reported with their 1-based line number; of several faults, the one on
+    the earliest line is reported. The non-blank lines are counted first, so
+    each row is parsed straight into a preallocated (n, d) array.
     """
-    features = []
-    labels = []
-    dim = None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise DatasetError(f"line {lineno}: expected `label,f1,...`, got {line!r}")
-            try:
-                label = int(parts[0])
-            except ValueError:
-                raise DatasetError(f"line {lineno}: label {parts[0]!r} is not an integer") from None
-            if label < 0:
-                raise DatasetError(f"line {lineno}: label must be non-negative")
-            try:
-                row = [float(p) for p in parts[1:]]
-            except ValueError:
-                raise DatasetError(f"line {lineno}: non-numeric feature value") from None
-            if not all(np.isfinite(row)):
-                raise DatasetError(f"line {lineno}: non-finite feature value")
-            if dim is None:
-                dim = len(row)
-            elif len(row) != dim:
-                raise DatasetError(
-                    f"line {lineno}: expected {dim} features, got {len(row)}")
-            labels.append(label)
-            features.append(row)
-    if not features:
-        raise DatasetError("no samples")
-    labels_arr = np.array(labels, dtype=np.int64)
+        if not fh.seekable():  # a pipe can be read only once: hold its text
+            fh = io.StringIO(fh.read())
+        n = sum(1 for line in fh if line.strip())
+        if n == 0:
+            raise DatasetError("no samples")
+        fh.seek(0)
+        labels = np.empty(n, dtype=np.int64)
+        linenos = np.empty(n, dtype=np.int64)
+        features = None
+        i = 0
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split(",")
+                if len(parts) < 2:
+                    raise DatasetError(f"line {lineno}: expected `label,f1,...`, got {line!r}")
+                try:
+                    label = int(parts[0])
+                except ValueError:
+                    raise DatasetError(
+                        f"line {lineno}: label {parts[0]!r} is not an integer") from None
+                if label < 0:
+                    raise DatasetError(f"line {lineno}: label must be non-negative")
+                try:
+                    row = list(map(float, parts[1:]))
+                except ValueError:
+                    raise DatasetError(f"line {lineno}: non-numeric feature value") from None
+                if features is None:
+                    features = np.empty((n, len(row)), dtype=np.float64)
+                elif len(row) != features.shape[1]:
+                    if not np.all(np.isfinite(row)):
+                        raise DatasetError(f"line {lineno}: non-finite feature value")
+                    raise DatasetError(
+                        f"line {lineno}: expected {features.shape[1]} features, got {len(row)}")
+                features[i] = row
+                labels[i] = label
+                linenos[i] = lineno
+                i += 1
+        except DatasetError:
+            # a non-finite value on an earlier line is the earlier fault
+            _check_finite(features, linenos, i)
+            raise
+    _check_finite(features, linenos, n)
     return Dataset(
-        features=np.array(features, dtype=np.float64),
-        labels=labels_arr,
-        n_classes=int(labels_arr.max()) + 1,
-        sample_ids=np.arange(len(labels), dtype=np.int64),
+        features=features,
+        labels=labels,
+        n_classes=int(labels.max()) + 1,
+        sample_ids=np.arange(n, dtype=np.int64),
     )
 
 

@@ -35,6 +35,10 @@ AF_NAMES = ("random", "margin", "coreset", "alamp", "alamp-div", "rand-div", "ma
 # Fallback regularization when the labeled pool is too degenerate for CV.
 FALLBACK_REG = 0.1
 
+# With no previous model to compare with, the cross-iteration score has no
+# shift to rank by: alamp selects as margin and alamp-div as marg-div.
+FIRST_STEP_RULE = {"alamp": "margin", "alamp-div": "marg-div"}
+
 
 class EngineError(ValueError):
     """Raised for invalid protocol configurations or exhausted pools."""
@@ -94,7 +98,8 @@ def _fit(pool: Dataset, cost_sensitive: bool, seed: int) -> Model:
     if len(np.unique(cv_labels)) >= 2:
         reg = classifier.select_reg_param(pool.features[cv_ok], cv_labels,
                                           classifier.DEFAULT_REG_GRID,
-                                          folds=3, seed=seed)
+                                          folds=3, seed=seed,
+                                          cost_sensitive=cost_sensitive)
     else:
         reg = FALLBACK_REG
     return classifier.train(pool.features, pool.labels, weights, reg)
@@ -139,6 +144,8 @@ def _select(state: PoolState, model: Model, af: str, train: Dataset,
     """Pick the next batch of sample ids per the acquisition function;
     `unlabeled_rows` are the training-set rows of `state.unlabeled_ids`."""
     unlabeled = state.unlabeled_ids
+    if state.prev_probs is None:
+        af = FIRST_STEP_RULE.get(af, af)
     if af == "random":
         return acquisition.random_select(unlabeled, batch, seed)
 
@@ -150,10 +157,10 @@ def _select(state: PoolState, model: Model, af: str, train: Dataset,
                                           unlabeled_rows, batch)
         return train.sample_ids[rows]
 
-    # Once a previous model exists, alamp and alamp-div rank by the shift from
-    # its margins, and alamp-div spreads over its pseudo classes.
+    # alamp and alamp-div rank by the shift from the previous model's
+    # margins, and alamp-div spreads over its pseudo classes.
     ranked, pseudo_from = acquisition.margin_scores(probs), probs
-    if af in ("alamp", "alamp-div") and state.prev_probs is not None:
+    if af in ("alamp", "alamp-div"):
         ranked = acquisition.alamp_scores(
             acquisition.margin_scores(state.prev_probs), ranked)
         pseudo_from = state.prev_probs
@@ -207,7 +214,11 @@ def run_strategies(train: Dataset, test: Dataset, afs, plan: BudgetPlan,
 
     The seed batch and initial model depend only on the data, plan, seed and
     cost sensitivity, so they are built once and every strategy steps from
-    that shared start; each report is byte-identical to a run on its own.
+    that shared start. So is the first step of each selection rule: with no
+    previous model, strategies that `FIRST_STEP_RULE` maps to the same rule
+    select the same batch and fit the same model, so that step is computed
+    once and kept only while a later strategy in `afs` can still use it.
+    Each report is byte-identical to a run on its own.
     """
     afs = list(afs)
     for af in afs:
@@ -216,16 +227,26 @@ def run_strategies(train: Dataset, test: Dataset, afs, plan: BudgetPlan,
     if train.dim != test.dim or train.n_classes != test.n_classes:
         raise EngineError("train/test dimensionality or class count mismatch")
 
-    state0, model0, record0 = init_pool(train, plan, seed, cost_sensitive)
-    record0 = dataclasses.replace(record0, accuracy=classifier.accuracy(model0, test))
+    def tested(result):
+        state, model, record = result
+        return state, model, dataclasses.replace(record, accuracy=classifier.accuracy(model, test))
+
+    state0, model0, record0 = tested(init_pool(train, plan, seed, cost_sensitive))
+    rules = [FIRST_STEP_RULE.get(af, af) for af in afs]
+    first_steps = {}  # rule -> its first step, while a later strategy needs it
     reports = []
-    for af in afs:
+    for i, (af, rule) in enumerate(zip(afs, rules)):
         state, model, records = state0, model0, [record0]
-        for _ in range(plan.iterations - 1):
-            state, model, record = step(state, model, af, train, seed, plan.batch,
-                                        cost_sensitive)
-            records.append(dataclasses.replace(
-                record, accuracy=classifier.accuracy(model, test)))
+        for k in range(1, plan.iterations):
+            if k == 1 and rule in first_steps:
+                result = first_steps.pop(rule)
+            else:
+                result = tested(step(state, model, af, train, seed, plan.batch,
+                                     cost_sensitive))
+            if k == 1 and rule in rules[i + 1:]:
+                first_steps[rule] = result
+            state, model, record = result
+            records.append(record)
         meta = RunMeta(af=af, seed=seed, total_budget=plan.total_budget,
                        iterations=plan.iterations, dataset=dataset_name,
                        cost_sensitive=cost_sensitive)

@@ -227,6 +227,22 @@ class TestGridDescent:
             assert weights[g].tobytes() == ref_w.tobytes()
             assert biases[g].tobytes() == ref_b.tobytes()
 
+    # an odd grid with fewer samples than classes, and a grid of one at n=2
+    @pytest.mark.parametrize("n, n_classes, regs", [(5, 8, (1e-2, 1.0, 10.0)),
+                                                    (2, 3, (0.1,))])
+    def test_small_shapes_match_reference_per_reg(self, n, n_classes, regs):
+        rng = np.random.default_rng(n)
+        features = rng.normal(size=(n, 7))
+        labels = np.arange(n) % n_classes
+        cw = class_weights(np.bincount(labels, minlength=n_classes))
+        z, targets, sample_w = _problem(features, labels, cw)[:3]
+        weights, biases = _descend(z, targets, sample_w, regs)
+        assert weights.shape == (len(regs), n_classes, 7)
+        for g, reg in enumerate(regs):
+            ref_w, ref_b = reference_descent(z, targets, sample_w, reg)
+            assert weights[g].tobytes() == ref_w.tobytes()
+            assert biases[g].tobytes() == ref_b.tobytes()
+
     def test_train_is_the_one_candidate_grid(self):
         features, labels = skewed_blobs(5, 20, 8, 2)
         cw = class_weights(np.bincount(labels))

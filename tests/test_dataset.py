@@ -1,3 +1,6 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -54,6 +57,45 @@ class TestLoadDataset:
         path = write_lines(tmp_path, ["0,1.0", "1,nan"])
         with pytest.raises(DatasetError, match="line 2"):
             load_dataset(path)
+
+    def test_non_finite_value_after_blank_line_names_its_line(self, tmp_path):
+        path = write_lines(tmp_path, ["0,1.0", "", "1,2.0", "", "", "1,inf"])
+        with pytest.raises(DatasetError, match="^line 6: non-finite"):
+            load_dataset(path)
+
+    def test_earliest_fault_is_reported(self, tmp_path):
+        path = write_lines(tmp_path, ["0,1.0", "1,nan", "x,2.0"])
+        with pytest.raises(DatasetError, match="^line 2: non-finite"):
+            load_dataset(path)
+        path = write_lines(tmp_path, ["0,1.0", "1,nan,2.0"])
+        with pytest.raises(DatasetError, match="^line 2: non-finite"):
+            load_dataset(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_reads_a_pipe(self):
+        # the lines are counted before they are parsed; a pipe is read once
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"0,1.0,2.0\n\n1,0.5,0.5\n")
+        os.close(write_end)
+        try:
+            d = load_dataset(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert d.features.tolist() == [[1.0, 2.0], [0.5, 0.5]]
+        assert d.labels.tolist() == [0, 1]
+
+    def test_peak_memory_within_twice_the_array(self, tmp_path):
+        d = make_synthetic(10, 100, 64, 1.0, 3)
+        path = tmp_path / "big.csv"
+        write_dataset(d, path)
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.features, d.features)
+        assert peak <= 2 * d.features.nbytes
 
     def test_non_numeric_feature(self, tmp_path):
         path = write_lines(tmp_path, ["0,abc"])

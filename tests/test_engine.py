@@ -3,16 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from alamp import acquisition, classifier
-from alamp.dataset import make_synthetic, train_test_split
+from alamp import acquisition, classifier, engine
+from alamp.dataset import induce_imbalance, make_synthetic, train_test_split
 from alamp.engine import (
     AF_NAMES,
     BudgetPlan,
     EngineError,
     init_pool,
     run_experiment,
+    run_strategies,
     step,
 )
+from alamp.metrics import write_report
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +199,70 @@ class TestRunExperiment:
         other = make_synthetic(5, 10, 9, 0.5, 0)
         with pytest.raises(EngineError):
             run_experiment(train, other, "random", PLAN, 0)
+
+
+class TestSharedFirstSteps:
+    def test_each_rule_fits_its_first_step_once(self, pools, monkeypatch, tmp_path):
+        # with no previous model alamp selects as margin and alamp-div as
+        # marg-div, so 1 initial fit + 7 strategies x 2 steps - 2 shared = 13
+        train, test = pools
+        plan = BudgetPlan(90, 3)
+        fit, calls = engine._fit, []
+
+        def counting_fit(*args):
+            calls.append(1)
+            return fit(*args)
+
+        monkeypatch.setattr(engine, "_fit", counting_fit)
+        reports = run_strategies(train, test, AF_NAMES, plan, 5)
+        assert len(calls) == 13
+        monkeypatch.undo()
+        for af, report in zip(AF_NAMES, reports):
+            write_report(report, tmp_path / "shared.json")
+            write_report(run_experiment(train, test, af, plan, 5), tmp_path / "alone.json")
+            assert ((tmp_path / "shared.json").read_bytes()
+                    == (tmp_path / "alone.json").read_bytes()), af
+
+    def test_shared_first_step_in_any_order(self, pools):
+        train, test = pools
+        afs = ("alamp-div", "alamp", "random", "marg-div", "margin")
+        reports = run_strategies(train, test, afs, PLAN, 6)
+        for af, report in zip(afs, reports):
+            assert report == run_experiment(train, test, af, PLAN, 6), af
+
+
+class TestCostSensitivity:
+    def test_unweighted_run_cross_validates_unweighted(self, monkeypatch):
+        # CV must score the objective the run fits: under cost_sensitive=False
+        # the folds train with unit weights, as the final model does
+        pool = induce_imbalance(make_synthetic(6, 60, 8, 1.6, 0), 0.9, 3, 0)
+        labels = pool.labels
+        n_classes = int(labels.max()) + 1
+        assignment = classifier._stratified_folds(labels, 3, 11)
+
+        def oracle():  # unit-weight CV, one `train` per candidate and fold
+            best_reg, best_acc = None, -1.0
+            for reg in classifier.DEFAULT_REG_GRID:
+                accs = []
+                for f in range(3):
+                    tr = assignment != f
+                    model = classifier.train(pool.features[tr], labels[tr],
+                                             np.ones(n_classes), reg)
+                    accs.append(np.mean(classifier.predict(model, pool.features[~tr])
+                                        == labels[~tr]))
+                if np.mean(accs) > best_acc:
+                    best_reg, best_acc = reg, np.mean(accs)
+            return best_reg
+
+        chosen = []
+        select = classifier.select_reg_param
+
+        def recording_select(*args, **kwargs):
+            chosen.append(select(*args, **kwargs))
+            return chosen[-1]
+
+        monkeypatch.setattr(classifier, "select_reg_param", recording_select)
+        model = engine._fit(pool, False, 11)
+        weighted = select(pool.features, labels, seed=11)
+        assert chosen == [oracle()] == [model.reg_param]
+        assert weighted != chosen[0]  # the fixture tells the two weightings apart
