@@ -67,7 +67,6 @@ class Model:
     weights: np.ndarray        # (n_classes, dim)
     biases: np.ndarray         # (n_classes,)
     reg_param: float
-    class_weights: np.ndarray  # (n_classes,)
     feature_mean: np.ndarray   # (dim,)
     feature_scale: np.ndarray  # (dim,), 1.0 for constant dimensions
 
@@ -213,7 +212,7 @@ def train(features, labels, class_weights_vec, reg_param: float) -> Model:
     z, targets, sample_w, mean, scale = _problem(features, labels, cw)
     weights, biases = _descend(z, targets, sample_w, (reg_param,))
     return Model(weights=weights[0], biases=biases[0], reg_param=float(reg_param),
-                 class_weights=cw, feature_mean=mean, feature_scale=scale)
+                 feature_mean=mean, feature_scale=scale)
 
 
 def _stratified_folds(labels: np.ndarray, folds: int, seed: int):
@@ -260,13 +259,14 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
     if min_count < 2:
         raise ClassifierError("every class needs at least 2 samples for CV")
     folds = min(folds, max(2, min_count))
+    # checks every fold: the training parts cover every row, each with every class
+    _check_fit(features, labels, grid)
     n_classes = int(labels.max()) + 1
     assignment = _stratified_folds(labels, folds, seed)
 
     def fold_accuracies(f):
         tr = assignment != f
         va = ~tr
-        _check_fit(features[tr], labels[tr], grid)
         if cost_sensitive:
             cw = class_weights(np.bincount(labels[tr], minlength=n_classes))
         else:

@@ -7,7 +7,7 @@ Subcommands:
     imbalance  subsample a CSV to a target imbalance ratio
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error (a bad flag, config
-value, dataset parameter or file, or budget plan). `run` and
+value, dataset parameter or file, unreadable input file, or budget plan). `run` and
 `compare` also read their flags from a JSON config file (--config); explicit
 flags override file values, which override the defaults. Config files are
 strict: an unknown key or a value of the wrong JSON type is a usage error;
@@ -96,13 +96,21 @@ def _load_config(args: argparse.Namespace) -> None:
                        f"{', '.join(metrics.REPORT_FORMATS)}")
 
 
+def _load(path):
+    """The dataset CSV at `path`; a file that cannot be read is a usage error."""
+    try:
+        return ds.load_dataset(path)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from None
+
+
 def _load_pair(args):
     """Train/test datasets from CSVs or from synth parameters."""
     if args.synth and (args.train or args.test):
         raise CliError("--synth excludes --train and --test")
     if args.train and args.test:
         name = os.path.splitext(os.path.basename(args.train))[0]
-        return ds.load_dataset(args.train), ds.load_dataset(args.test), name
+        return _load(args.train), _load(args.test), name
     if args.synth:
         n_classes, per_class, dim, std, seed = _parse_synth(args.synth)
         full = ds.make_synthetic(n_classes, per_class, dim, std, seed)
@@ -199,7 +207,7 @@ def cmd_synth(args) -> int:
 
 def cmd_imbalance(args) -> int:
     parse_seeds(str(args.seed))
-    data = ds.load_dataset(args.input)
+    data = _load(args.input)
     skewed = ds.induce_imbalance(data, args.target_ir, args.min_per_class, args.seed)
     ds.write_dataset(skewed, args.output)
     achieved = ds.imbalance_ratio(skewed.class_counts())

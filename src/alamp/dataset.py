@@ -8,7 +8,7 @@ selections made on a derived dataset can be traced back to the source rows.
 from __future__ import annotations
 
 import dataclasses
-import io
+from array import array
 
 import numpy as np
 
@@ -114,11 +114,10 @@ def positions(ids, wanted) -> np.ndarray:
     return order[np.searchsorted(ids, wanted, sorter=order)]
 
 
-def _check_finite(features, linenos, n_rows) -> None:
-    """Raise the error of the first of `n_rows` parsed rows with a non-finite value."""
-    if features is None:
-        return
-    finite = np.isfinite(features[:n_rows]).all(axis=1)
+def _check_finite(values, linenos, dim) -> None:
+    """Raise the error of the first non-finite whole row of `values`, one per lineno."""
+    n = len(linenos)
+    finite = np.isfinite(np.frombuffer(values, count=n * dim)).reshape(n, dim).all(axis=1)
     if not finite.all():
         raise DatasetError(f"line {linenos[np.argmin(finite)]}: non-finite feature value")
 
@@ -126,22 +125,14 @@ def _check_finite(features, linenos, n_rows) -> None:
 def load_dataset(path) -> Dataset:
     """Parse a dataset CSV: one `label,f1,...,fd` row per sample, no header.
 
-    Sample ids are assigned 0..n_samples-1 in file order. Malformed rows are
-    reported with their 1-based line number; of several faults, the one on
-    the earliest line is reported. The non-blank lines are counted first, so
-    each row is parsed straight into a preallocated (n, d) array.
+    Sample ids are assigned 0..n_samples-1 in file order. Malformed rows (a
+    byte that is not UTF-8 fails its row's parse) are reported with their 1-based
+    line number; of several faults, the one on the earliest line is reported. The
+    file, or pipe, is read once into growable buffers that become the arrays.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        if not fh.seekable():  # a pipe can be read only once: hold its text
-            fh = io.StringIO(fh.read())
-        n = sum(1 for line in fh if line.strip())
-        if n == 0:
-            raise DatasetError("no samples")
-        fh.seek(0)
-        labels = np.empty(n, dtype=np.int64)
-        linenos = np.empty(n, dtype=np.int64)
-        features = None
-        i = 0
+    labels, linenos, values = array("q"), array("q"), array("d")
+    dim = 0
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -158,30 +149,30 @@ def load_dataset(path) -> Dataset:
                 if label < 0:
                     raise DatasetError(f"line {lineno}: label must be non-negative")
                 try:
-                    row = list(map(float, parts[1:]))
+                    values.extend(map(float, parts[1:]))
                 except ValueError:
                     raise DatasetError(f"line {lineno}: non-numeric feature value") from None
-                if features is None:
-                    features = np.empty((n, len(row)), dtype=np.float64)
-                elif len(row) != features.shape[1]:
-                    if not np.all(np.isfinite(row)):
+                if not labels:
+                    dim = len(parts) - 1
+                elif len(parts) - 1 != dim:
+                    if not np.isfinite(values[len(labels) * dim:]).all():
                         raise DatasetError(f"line {lineno}: non-finite feature value")
                     raise DatasetError(
-                        f"line {lineno}: expected {features.shape[1]} features, got {len(row)}")
-                features[i] = row
-                labels[i] = label
-                linenos[i] = lineno
-                i += 1
+                        f"line {lineno}: expected {dim} features, got {len(parts) - 1}")
+                labels.append(label)
+                linenos.append(lineno)
         except DatasetError:
             # a non-finite value on an earlier line is the earlier fault
-            _check_finite(features, linenos, i)
+            _check_finite(values, linenos, dim)
             raise
-    _check_finite(features, linenos, n)
+    if not labels:
+        raise DatasetError("no samples")
+    _check_finite(values, linenos, dim)
     return Dataset(
-        features=features,
-        labels=labels,
-        n_classes=int(labels.max()) + 1,
-        sample_ids=np.arange(n, dtype=np.int64),
+        features=np.frombuffer(values).reshape(len(labels), dim),
+        labels=np.frombuffer(labels, dtype=np.int64),
+        n_classes=max(labels) + 1,
+        sample_ids=np.arange(len(labels), dtype=np.int64),
     )
 
 

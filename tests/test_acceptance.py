@@ -150,8 +150,7 @@ def test_criterion_3_numerical_soundness():
     n_classes = 7
     model = classifier.Model(
         weights=np.eye(n_classes), biases=np.zeros(n_classes), reg_param=1.0,
-        class_weights=np.ones(n_classes), feature_mean=np.zeros(n_classes),
-        feature_scale=np.ones(n_classes))
+        feature_mean=np.zeros(n_classes), feature_scale=np.ones(n_classes))
     x = rng.normal(scale=10.0, size=(10_000, n_classes))
     probs = predict_proba(model, x).probs
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)

@@ -330,8 +330,7 @@ def model_with_decisions(dv_rows):
     # weights = identity on a feature space of dim n_classes, no scaling
     from alamp.classifier import Model
     return Model(weights=np.eye(n_classes), biases=np.zeros(n_classes),
-                 reg_param=1.0, class_weights=np.ones(n_classes),
-                 feature_mean=np.zeros(n_classes), feature_scale=np.ones(n_classes))
+                 reg_param=1.0, feature_mean=np.zeros(n_classes), feature_scale=np.ones(n_classes))
 
 
 class TestStandardize:

@@ -108,6 +108,26 @@ class TestImbalance:
         assert capsys.readouterr().err == library_error(
             DatasetError, induce_imbalance, load_dataset(src), 0.9, 10, 0)
 
+    def test_undecodable_byte_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "bad.csv"
+        src.write_bytes(b"0,1.0,\xff\n")
+        out = tmp_path / "x.csv"
+        rc = main(["imbalance", "--input", str(src), "--target-ir", "0.5",
+                   "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: line 1: non-numeric feature value\n"
+        assert not out.exists()
+
+    def test_directory_input_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["imbalance", "--input", str(tmp_path), "--target-ir", "0.5",
+                   "--output", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {tmp_path}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_negative_seed_exit_2(self, tmp_path, capsys):
         # the seed is checked before any read, so a missing input gives the same error
         src = tmp_path / "balanced.csv"
@@ -194,6 +214,17 @@ class TestRun:
 
     def test_missing_inputs_exit_2(self, tmp_path):
         assert main(["run", "--af", "random", "--out", str(tmp_path)]) == 2
+
+    def test_missing_train_file_exit_2(self, csv_pair, tmp_path, capsys):
+        missing = str(tmp_path / "nope.csv")
+        out = tmp_path / "out"
+        rc = main(["run", "--af", "random", "--train", missing, "--test", csv_pair[1],
+                   "--budget", "8", "--iters", "2", "--seeds", "0", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {missing}: [Errno 2] ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestSettings:

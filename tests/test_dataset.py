@@ -70,10 +70,27 @@ class TestLoadDataset:
         path = write_lines(tmp_path, ["0,1.0", "1,nan,2.0"])
         with pytest.raises(DatasetError, match="^line 2: non-finite"):
             load_dataset(path)
+        # row 3 fails mid-parse after two values: only whole rows are checked
+        path = write_lines(tmp_path, ["0,1.0,2.0,3.0", "1,nan,2.0,3.0", "1,4.0,5.0,x"])
+        with pytest.raises(DatasetError, match="^line 2: non-finite"):
+            load_dataset(path)
+        # the first row fails mid-parse, before any whole row
+        path = write_lines(tmp_path, ["0,1.0,x", "1,nan,2.0"])
+        with pytest.raises(DatasetError, match="^line 1: non-numeric"):
+            load_dataset(path)
+
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"0,1.0,2.0\n\n1,0.5,\xff\n")
+        with pytest.raises(DatasetError, match="^line 3: non-numeric feature value$"):
+            load_dataset(path)
+        path.write_bytes(b"0,1.0,2.0\n\n\xff1,0.5,0.5\n")
+        with pytest.raises(DatasetError, match="^line 3: label .* is not an integer$"):
+            load_dataset(path)
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_reads_a_pipe(self):
-        # the lines are counted before they are parsed; a pipe is read once
+        # the file is read in one pass, so a pipe loads as a file does
         read_end, write_end = os.pipe()
         os.write(write_end, b"0,1.0,2.0\n\n1,0.5,0.5\n")
         os.close(write_end)
