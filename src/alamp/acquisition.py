@@ -9,9 +9,10 @@ Per-sample values are arrays aligned with an id array: `scores[i]` of a
 `pseudo_classes` gives one class per `ProbMatrix` row, and `diversify` reads
 the pseudo class of `ids[i]` from `classes[i]`; ids are matched by value.
 
-Orderings break ties by ascending sample id, and `coreset_select`, which works
-on rows of its feature matrix, by the lowest row, so results are reproducible
-across platforms and thread counts.
+Orderings break ties by ascending sample id, so results are reproducible
+across platforms and thread counts. `coreset_select` takes feature matrices,
+not ids, and breaks ties by the lowest position in its pool; the engine passes
+the unlabeled pool in ascending id order, so those ties go by id too.
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ class ScoredPool:
 
     def top(self, batch: int) -> np.ndarray:
         return self.order[:batch]
+
+
+# Rows per block of the distance computations in `coreset_select`.
+_BLOCK = 2048
 
 
 def _pool(ids: np.ndarray, scores: np.ndarray, descending: bool) -> ScoredPool:
@@ -102,52 +107,54 @@ def random_select(pool_ids, batch: int, seed: int) -> np.ndarray:
     return rng.choice(pool, size=batch, replace=False)
 
 
-def coreset_select(features, labeled_ids, unlabeled_ids, batch: int) -> np.ndarray:
+def coreset_select(pool, centres, batch: int) -> np.ndarray:
     """Greedy k-center selection (min-max coverage of the feature space).
 
-    `labeled_ids` and `unlabeled_ids` are row indices into `features`, and
-    the picks are rows too. Repeatedly picks the unlabeled row whose distance
-    to its nearest covered row (labeled or already selected) is largest; ties
-    go to the lowest row.
+    `pool` holds the candidate rows and `centres` the covered (labeled) rows,
+    in the same feature space. Repeatedly picks the pool row whose distance
+    to its nearest covered row (a centre or an earlier pick) is largest, and
+    returns the picks as positions into `pool`; ties go to the lowest
+    position.
 
     Distances are sqrt(|u|^2 + |c|^2 - 2 u.c) to the nearest centre c:
-    n_unlabeled x 2048 temporaries per labeled block, n_unlabeled per pick.
-    A squared distance within the expansion's rounding error,
-    2 (dim + 2) eps (|u|^2 + |c|^2), reads as 0, so coincident points tie
-    exactly and the tie rule holds for them too.
+    len(pool) x 2048 temporaries per block of centres, len(pool) per pick,
+    and the squared norms of the pool are summed 2048 rows at a time, so no
+    temporary is as large as `pool`. A squared distance within the
+    expansion's rounding error, 2 (dim + 2) eps (|u|^2 + |c|^2), reads as 0,
+    so coincident points tie exactly and the tie rule holds for them too.
     """
-    features = np.asarray(features, dtype=np.float64)
-    labeled = np.asarray(labeled_ids, dtype=np.int64)
-    unlabeled = np.sort(np.asarray(unlabeled_ids, dtype=np.int64))
-    if len(labeled) == 0:
+    pool = np.asarray(pool, dtype=np.float64)
+    centres = np.asarray(centres, dtype=np.float64)
+    if len(centres) == 0:
         raise AcquisitionError("coreset needs a non-empty labeled set")
-    if batch > len(unlabeled):
-        raise AcquisitionError(f"batch {batch} exceeds pool size {len(unlabeled)}")
+    if batch > len(pool):
+        raise AcquisitionError(f"batch {batch} exceeds pool size {len(pool)}")
 
-    u_feats = features[unlabeled]
-    u_sq = (u_feats ** 2).sum(axis=1)
-    tol = 2.0 * (features.shape[1] + 2) * np.finfo(np.float64).eps
+    u_sq = np.empty(len(pool))
+    for start in range(0, len(pool), _BLOCK):
+        (pool[start:start + _BLOCK] ** 2).sum(axis=1, out=u_sq[start:start + _BLOCK])
+    tol = 2.0 * (pool.shape[1] + 2) * np.finfo(np.float64).eps
 
-    def nearest(centres):
-        norms = u_sq[:, None] + (centres ** 2).sum(axis=1)
-        sq = u_feats @ centres.T
+    def nearest(block):
+        norms = u_sq[:, None] + (block ** 2).sum(axis=1)
+        sq = pool @ block.T
         sq *= -2.0
         sq += norms
         norms *= tol
         sq[sq <= norms] = 0.0
         return np.sqrt(sq.min(axis=1))
 
-    min_dist = np.full(len(unlabeled), np.inf)
-    for start in range(0, len(labeled), 2048):
-        min_dist = np.minimum(min_dist, nearest(features[labeled[start:start + 2048]]))
+    min_dist = np.full(len(pool), np.inf)
+    for start in range(0, len(centres), _BLOCK):
+        min_dist = np.minimum(min_dist, nearest(centres[start:start + _BLOCK]))
 
     picks = []
     for _ in range(batch):
-        pick = int(np.argmax(min_dist))  # argmax returns the first (lowest row) max
+        pick = int(np.argmax(min_dist))  # argmax returns the first (lowest position) max
         picks.append(pick)
-        min_dist = np.minimum(min_dist, nearest(u_feats[pick:pick + 1]))
+        min_dist = np.minimum(min_dist, nearest(pool[pick:pick + 1]))
         min_dist[pick] = -np.inf
-    return unlabeled[picks]
+    return np.array(picks, dtype=np.int64)
 
 
 def diversify(ordered_ids, ids, classes, batch: int) -> np.ndarray:

@@ -21,7 +21,8 @@ chosen regularization is the one a serial loop picks.
 
 Features are standardized per dimension using statistics of the training
 (labeled) pool; the scaler is stored on the model, and `standardize` applies
-it to every pool the model scores.
+it to every pool the model scores. Given the rows to score, it gathers only
+those and scales them in place, so scoring a pool holds one pool-sized array.
 """
 
 from __future__ import annotations
@@ -287,27 +288,40 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
     return grid[int(np.argmax(fold_accs.mean(axis=1)))]
 
 
-def standardize(model: Model, features) -> np.ndarray:
-    """Features scaled as the model saw them in training."""
-    z = features - model.feature_mean
+def standardize(model: Model, features, rows=None) -> np.ndarray:
+    """Features scaled as the model saw them in training, in one new array.
+
+    With `rows` (integer row indices), only those rows are gathered, and they
+    are scaled in place: the same bits as `standardize(model, features[rows])`
+    without a second pool-sized copy.
+    """
+    if rows is None:
+        z = features - model.feature_mean
+    else:
+        z = np.take(features, rows, axis=0)
+        z -= model.feature_mean
     z /= model.feature_scale
     return z
 
 
-def decision_values(model: Model, features) -> np.ndarray:
+def decision_values(model: Model, features, rows=None) -> np.ndarray:
+    """Per-class decision values of `features`, or of its `rows` only."""
     features = np.asarray(features, dtype=np.float64)
     if features.shape[1] != model.dim:
         raise ClassifierError(
             f"feature dim {features.shape[1]} does not match model dim {model.dim}")
-    return standardize(model, features) @ model.weights.T + model.biases
+    dv = standardize(model, features, rows) @ model.weights.T
+    dv += model.biases
+    return dv
 
 
-def predict_proba(model: Model, features, sample_ids=None) -> ProbMatrix:
-    """Softmax over decision values; rows sum to 1 within 1e-6."""
-    dv = decision_values(model, features)
-    shifted = dv - dv.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    probs = ex / ex.sum(axis=1, keepdims=True)
+def predict_proba(model: Model, features, sample_ids=None, rows=None) -> ProbMatrix:
+    """Softmax over decision values, of `features` or of its `rows` only; rows
+    sum to 1 within 1e-6. The softmax runs in place on the decision values."""
+    probs = decision_values(model, features, rows)
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
     if sample_ids is None:
         sample_ids = np.arange(len(probs), dtype=np.int64)
     return ProbMatrix(probs=probs, sample_ids=np.asarray(sample_ids, dtype=np.int64))

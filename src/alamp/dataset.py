@@ -159,7 +159,11 @@ def load_dataset(path) -> Dataset:
                         raise DatasetError(f"line {lineno}: non-finite feature value")
                     raise DatasetError(
                         f"line {lineno}: expected {dim} features, got {len(parts) - 1}")
-                labels.append(label)
+                try:
+                    labels.append(label)
+                except OverflowError:
+                    raise DatasetError(
+                        f"line {lineno}: label {parts[0]!r} out of range") from None
                 linenos.append(lineno)
         except DatasetError:
             # a non-finite value on an earlier line is the earlier fault

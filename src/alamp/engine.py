@@ -150,12 +150,14 @@ def _select(state: PoolState, model: Model, af: str, train: Dataset,
         return acquisition.random_select(unlabeled, batch, seed)
 
     if af == "coreset":
-        # Euclidean distances on the model-standardized features; rows are
-        # positions in the training dataset (ascending in sample id).
-        rows = acquisition.coreset_select(classifier.standardize(model, train.features),
-                                          train.rows_for(state.labeled_ids),
-                                          unlabeled_rows, batch)
-        return train.sample_ids[rows]
+        # Euclidean distances on the model-standardized features. The picks
+        # are positions in the unlabeled pool, which is in ascending id order,
+        # so ties go to the lowest id.
+        picks = acquisition.coreset_select(
+            classifier.standardize(model, train.features, unlabeled_rows),
+            classifier.standardize(model, train.features, train.rows_for(state.labeled_ids)),
+            batch)
+        return unlabeled[picks]
 
     # alamp and alamp-div rank by the shift from the previous model's
     # margins, and alamp-div spreads over its pseudo classes.
@@ -190,8 +192,8 @@ def step(state: PoolState, model: Model, af: str, train: Dataset, seed: int,
     step_seed = _step_seed(seed, k)
 
     unlabeled_rows = train.rows_for(state.unlabeled_ids)
-    probs = classifier.predict_proba(model, train.features[unlabeled_rows],
-                                     state.unlabeled_ids)
+    probs = classifier.predict_proba(model, train.features, state.unlabeled_ids,
+                                     unlabeled_rows)
     selected = _select(state, model, af, train, unlabeled_rows, probs, batch,
                        step_seed)
 

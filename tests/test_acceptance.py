@@ -48,6 +48,14 @@ def diversify(ordered, pseudo, batch):
     return acquisition.diversify(ordered, list(pseudo), list(pseudo.values()), batch)
 
 
+def coreset_rows(features, labeled, unlabeled, batch):
+    """`coreset_select` over rows of one feature matrix: `labeled` and
+    `unlabeled` are rows of `features`, and so are the picks."""
+    features = np.asarray(features, dtype=np.float64)
+    unlabeled = np.sort(np.asarray(unlabeled, dtype=np.int64))
+    return unlabeled[coreset_select(features[unlabeled], features[labeled], batch)]
+
+
 def test_criterion_1_formula_fidelity():
     start = time.time()
     pm = ProbMatrix(probs=np.array([[0.6, 0.3, 0.1]]), sample_ids=np.array([0]))
@@ -88,7 +96,7 @@ def test_criterion_2_oracle_equivalences():
         feats = rng.normal(size=(n_l + n_u, dim))
         labeled = list(range(n_l))
         unlabeled = list(range(n_l, n_l + n_u))
-        got = coreset_select(feats, labeled, unlabeled, 1)[0]
+        got = coreset_rows(feats, labeled, unlabeled, 1)[0]
         assert got == exhaustive(feats, labeled, unlabeled)
     assert time.time() - start < 10.0
 

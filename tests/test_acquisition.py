@@ -133,6 +133,53 @@ class TestRandomSelect:
         assert len(set(sel.tolist())) == 25
 
 
+def coreset_rows(features, labeled, unlabeled, batch):
+    """`coreset_select` over rows of one feature matrix: `labeled` and
+    `unlabeled` are rows of `features`, and so are the picks (the pool in
+    ascending row order, so ties go to the lowest row)."""
+    features = np.asarray(features, dtype=np.float64)
+    labeled = np.asarray(labeled, dtype=np.int64)
+    unlabeled = np.sort(np.asarray(unlabeled, dtype=np.int64))
+    return unlabeled[coreset_select(features[unlabeled], features[labeled], batch)]
+
+
+def rows_api_coreset(features, labeled_ids, unlabeled_ids, batch):
+    """The earlier rows-API `coreset_select`, kept as an oracle: it gathers and
+    squares the unlabeled rows itself and returns rows of `features`."""
+    features = np.asarray(features, dtype=np.float64)
+    labeled = np.asarray(labeled_ids, dtype=np.int64)
+    unlabeled = np.sort(np.asarray(unlabeled_ids, dtype=np.int64))
+    if len(labeled) == 0:
+        raise AcquisitionError("coreset needs a non-empty labeled set")
+    if batch > len(unlabeled):
+        raise AcquisitionError(f"batch {batch} exceeds pool size {len(unlabeled)}")
+
+    u_feats = features[unlabeled]
+    u_sq = (u_feats ** 2).sum(axis=1)
+    tol = 2.0 * (features.shape[1] + 2) * np.finfo(np.float64).eps
+
+    def nearest(centres):
+        norms = u_sq[:, None] + (centres ** 2).sum(axis=1)
+        sq = u_feats @ centres.T
+        sq *= -2.0
+        sq += norms
+        norms *= tol
+        sq[sq <= norms] = 0.0
+        return np.sqrt(sq.min(axis=1))
+
+    min_dist = np.full(len(unlabeled), np.inf)
+    for start in range(0, len(labeled), 2048):
+        min_dist = np.minimum(min_dist, nearest(features[labeled[start:start + 2048]]))
+
+    picks = []
+    for _ in range(batch):
+        pick = int(np.argmax(min_dist))  # argmax returns the first (lowest row) max
+        picks.append(pick)
+        min_dist = np.minimum(min_dist, nearest(u_feats[pick:pick + 1]))
+        min_dist[pick] = -np.inf
+    return unlabeled[picks]
+
+
 def exhaustive_minmax(features, labeled_ids, unlabeled_ids):
     """Independent O(|U| * |L|) oracle for the single minmax pick."""
     best_id, best_dist = None, -1.0
@@ -165,12 +212,12 @@ class TestCoresetSelect:
         # labeled {0.0}; unlabeled {1.0, 3.0, 2.9}; after 3.0 is covered,
         # 1.0's min-dist 1.0 beats 2.9's 0.1
         feats = np.array([[0.0], [1.0], [3.0], [2.9]])
-        sel = coreset_select(feats, [0], [1, 2, 3], 2)
+        sel = coreset_rows(feats, [0], [1, 2, 3], 2)
         assert list(sel) == [2, 1]
 
     def test_coincident_point_never_first(self):
         feats = np.array([[0.0], [0.0], [5.0]])
-        sel = coreset_select(feats, [0], [1, 2], 1)
+        sel = coreset_rows(feats, [0], [1, 2], 1)
         assert sel[0] == 2
 
     @pytest.mark.parametrize("trial", range(100))
@@ -182,10 +229,10 @@ class TestCoresetSelect:
         feats = rng.normal(size=(n_l + n_u, dim))
         labeled = list(range(n_l))
         unlabeled = list(range(n_l, n_l + n_u))
-        got = coreset_select(feats, labeled, unlabeled, 1)[0]
+        got = coreset_rows(feats, labeled, unlabeled, 1)[0]
         assert got == exhaustive_minmax(feats, labeled, unlabeled)
         batch = int(rng.integers(1, n_u + 1))
-        got = coreset_select(feats, labeled, unlabeled, batch)
+        got = coreset_rows(feats, labeled, unlabeled, batch)
         assert got.tolist() == greedy_minmax(feats, labeled, unlabeled, batch)
 
     def test_coincident_twins_come_last(self):
@@ -193,7 +240,7 @@ class TestCoresetSelect:
         distinct = rng.normal(size=(12, 4))
         # row 0 labeled; rows 1-12 and their twins 13-24 unlabeled
         feats = np.vstack([rng.normal(size=(1, 4)), distinct, distinct])
-        sel = coreset_select(feats, [0], list(range(1, 25)), 24).tolist()
+        sel = coreset_rows(feats, [0], list(range(1, 25)), 24).tolist()
         assert sorted(sel) == list(range(1, 25))
         locations = [(i - 1) % 12 for i in sel]
         assert sorted(locations[:12]) == list(range(12))
@@ -204,19 +251,58 @@ class TestCoresetSelect:
         distinct = 10.0 * rng.normal(size=(12, 4))
         # row 0 labeled; rows 1-12 distinct, 13-24 their twins, 25-27 twins of row 0
         feats = np.vstack([labeled, distinct, distinct, labeled, labeled, labeled])
-        sel = coreset_select(feats, [0], list(range(1, 28)), 27).tolist()
+        sel = coreset_rows(feats, [0], list(range(1, 28)), 27).tolist()
         assert sorted(sel[:12]) == list(range(1, 13))
         assert sel[12:] == list(range(13, 28))
 
     def test_empty_labeled_rejected(self):
         with pytest.raises(AcquisitionError):
-            coreset_select(np.zeros((2, 1)), [], [0, 1], 1)
+            coreset_rows(np.zeros((2, 1)), [], [0, 1], 1)
 
     def test_no_duplicates_full_batch(self):
         rng = np.random.default_rng(5)
         feats = rng.normal(size=(30, 3))
-        sel = coreset_select(feats, [0, 1], list(range(2, 30)), 28)
+        sel = coreset_rows(feats, [0, 1], list(range(2, 30)), 28)
         assert len(set(sel.tolist())) == 28
+
+    @staticmethod
+    def assert_matches_rows_api(feats, labeled, unlabeled):
+        n_u = len(unlabeled)
+        for batch in sorted({b for b in (1, 2, n_u // 2, n_u) if 1 <= b <= n_u}):
+            assert np.array_equal(coreset_rows(feats, labeled, unlabeled, batch),
+                                  rows_api_coreset(feats, labeled, unlabeled, batch))
+
+    @pytest.mark.parametrize("trial", range(20))
+    def test_matches_rows_api_on_random_features(self, trial):
+        rng = np.random.default_rng(1000 + trial)
+        n_l, n_u, dim = (int(rng.integers(1, 61)), int(rng.integers(1, 301)),
+                         int(rng.integers(1, 33)))
+        feats = rng.normal(size=(n_l + n_u, dim))
+        order = rng.permutation(n_l + n_u)
+        self.assert_matches_rows_api(feats, order[:n_l], order[n_l:])
+
+    def test_matches_rows_api_on_relu_features(self):
+        # non-negative, correlated rows; the pool and the labeled set both
+        # span more than one 2048-row block
+        rng = np.random.default_rng(7)
+        latent = np.repeat(rng.normal(0.0, 3.0, size=(10, 8)), 460, axis=0)
+        latent += rng.normal(size=latent.shape)
+        feats = np.maximum(latent @ rng.normal(0.0, 8 ** -0.5, size=(8, 64)), 0.0)
+        order = rng.permutation(len(feats))
+        self.assert_matches_rows_api(feats, order[:2100], order[2100:])
+
+    def test_matches_rows_api_on_exact_duplicates(self):
+        rng = np.random.default_rng(3)
+        base = 10.0 * rng.normal(size=(8, 5))
+        # every point appears three times, shuffled; rows 0-3 are labeled
+        feats = np.vstack([base, base, base])[rng.permutation(24)]
+        self.assert_matches_rows_api(feats, np.arange(4), np.arange(4, 24))
+
+    def test_picks_are_pool_positions(self):
+        pool = np.array([[1.0], [3.0], [2.9]])
+        assert coreset_select(pool, np.array([[0.0]]), 2).tolist() == [1, 0]
+        # equal distances tie to the lowest position
+        assert coreset_select(np.array([[2.0], [-2.0]]), np.array([[0.0]]), 1).tolist() == [0]
 
 
 def reference_diversify(ordered, pseudo, batch):

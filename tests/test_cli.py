@@ -118,6 +118,17 @@ class TestImbalance:
         assert capsys.readouterr().err == "error: line 1: non-numeric feature value\n"
         assert not out.exists()
 
+    def test_label_out_of_range_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "bad.csv"
+        src.write_bytes(b"0,1.0\n99999999999999999999,2.0\n1,3.0\n")
+        out = tmp_path / "x.csv"
+        rc = main(["imbalance", "--input", str(src), "--target-ir", "0.5",
+                   "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: line 2: label '99999999999999999999' out of range\n")
+        assert not out.exists()
+
     def test_directory_input_exit_2(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         rc = main(["imbalance", "--input", str(tmp_path), "--target-ir", "0.5",

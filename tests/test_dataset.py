@@ -47,6 +47,11 @@ class TestLoadDataset:
         path = write_lines(tmp_path, ["x,1.0"])
         with pytest.raises(DatasetError, match="line 1"):
             load_dataset(path)
+        # a label int64 cannot hold
+        path = write_lines(tmp_path, ["0,1.0", "99999999999999999999,2.0", "1,3.0"])
+        with pytest.raises(DatasetError,
+                           match="^line 2: label '99999999999999999999' out of range$"):
+            load_dataset(path)
 
     def test_negative_label(self, tmp_path):
         path = write_lines(tmp_path, ["-1,1.0"])
@@ -68,6 +73,9 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="^line 2: non-finite"):
             load_dataset(path)
         path = write_lines(tmp_path, ["0,1.0", "1,nan,2.0"])
+        with pytest.raises(DatasetError, match="^line 2: non-finite"):
+            load_dataset(path)
+        path = write_lines(tmp_path, ["0,1.0", "1,nan", "99999999999999999999,2.0"])
         with pytest.raises(DatasetError, match="^line 2: non-finite"):
             load_dataset(path)
         # row 3 fails mid-parse after two values: only whole rows are checked

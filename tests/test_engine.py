@@ -1,10 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from alamp import acquisition, classifier, engine
-from alamp.dataset import induce_imbalance, make_synthetic, train_test_split
+from alamp.dataset import Dataset, induce_imbalance, make_synthetic, train_test_split
 from alamp.engine import (
     AF_NAMES,
     BudgetPlan,
@@ -149,6 +150,33 @@ class TestStep:
         state, model, _ = init_pool(train, PLAN, 0)
         with pytest.raises(EngineError):
             step(state, model, "entropy", train, 0, PLAN.batch)
+
+
+def relu_dataset(n_classes, per_class, dim, rank, separation, seed):
+    """Embedding-like features: ReLU of a random map of a rank-`rank` latent."""
+    rng = np.random.default_rng(seed)
+    latent = np.repeat(rng.normal(0.0, separation, size=(n_classes, rank)), per_class, axis=0)
+    latent += rng.normal(size=latent.shape)
+    features = np.maximum(latent @ rng.normal(0.0, rank ** -0.5, size=(rank, dim)), 0.0)
+    return Dataset(features=features, labels=np.repeat(np.arange(n_classes), per_class),
+                   n_classes=n_classes, sample_ids=np.arange(n_classes * per_class))
+
+
+class TestStepMemory:
+    @pytest.mark.parametrize("af", ["margin", "coreset"])
+    def test_step_holds_one_pool_sized_array(self, af):
+        # the unlabeled rows are gathered and standardized once, in place, for
+        # scoring and again for coreset; no other temporary is pool-sized
+        train, _ = train_test_split(relu_dataset(10, 600, 256, 8, 3.0, 0), 0.1, 0)
+        state, model, _ = init_pool(train, BudgetPlan(40, 2), 0)
+        pool_bytes = len(state.unlabeled_ids) * train.dim * 8
+        tracemalloc.start()
+        try:
+            step(state, model, af, train, 0, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * pool_bytes
 
 
 class TestRunExperiment:
