@@ -3,9 +3,9 @@
 A run starts from a random seed batch, then alternates selection (per the
 chosen acquisition function), simulated labeling (labels come from the
 training dataset itself), and from-scratch retraining with fresh
-cross-validated regularization. Probability estimates of the previous model
-are kept so the cross-iteration score and its diversified variant can compare
-successive models.
+cross-validated regularization. A step scores the pool only if its rule reads
+scores (random and coreset do not), and keeps that model's margins and pseudo
+classes for the next step's cross-iteration score and its diversified variant.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 
 from . import acquisition, classifier
-from .classifier import Model, ProbMatrix
+from .classifier import Model
 from .dataset import Dataset, imbalance_ratio
 from .metrics import IterationRecord, Report, RunMeta
 
@@ -67,12 +67,15 @@ class BudgetPlan:
 
 @dataclasses.dataclass(frozen=True)
 class PoolState:
-    """Labeled/unlabeled partition plus the previous model's estimates."""
+    """Labeled/unlabeled partition, plus the margin pool and pseudo classes of
+    the model that picked the last batch: None after a `random` or `coreset`
+    step, which scores nothing, so an alamp step from there selects as margin."""
 
     labeled_ids: np.ndarray    # in labeling order
     unlabeled_ids: np.ndarray  # ascending
     iteration: int
-    prev_probs: ProbMatrix | None = None
+    prev_margins: acquisition.ScoredPool | None = None
+    prev_pseudo: np.ndarray | None = None
 
 
 def _step_seed(seed: int, k: int) -> int:
@@ -138,73 +141,70 @@ def init_pool(train: Dataset, plan: BudgetPlan, seed: int,
     return state, model, _record(0, pool, labeled)
 
 
-def _select(state: PoolState, model: Model, af: str, train: Dataset,
-            unlabeled_rows: np.ndarray, probs: ProbMatrix, batch: int,
-            seed: int) -> np.ndarray:
-    """Pick the next batch of sample ids per the acquisition function;
-    `unlabeled_rows` are the training-set rows of `state.unlabeled_ids`."""
+def _select(state: PoolState, model: Model, af: str, train: Dataset, batch: int,
+            seed: int):
+    """Pick the next batch of sample ids per the acquisition function; also
+    returns the current model's margin pool and its pseudo classes (aligned
+    with `state.unlabeled_ids`), or None for both if the rule reads no scores."""
     unlabeled = state.unlabeled_ids
-    if state.prev_probs is None:
+    if state.prev_margins is None:
         af = FIRST_STEP_RULE.get(af, af)
     if af == "random":
-        return acquisition.random_select(unlabeled, batch, seed)
+        return acquisition.random_select(unlabeled, batch, seed), None, None
 
+    rows = train.rows_for(unlabeled)
     if af == "coreset":
         # Euclidean distances on the model-standardized features. The picks
         # are positions in the unlabeled pool, which is in ascending id order,
         # so ties go to the lowest id.
         picks = acquisition.coreset_select(
-            classifier.standardize(model, train.features, unlabeled_rows),
+            classifier.standardize(model, train.features, rows),
             classifier.standardize(model, train.features, train.rows_for(state.labeled_ids)),
             batch)
-        return unlabeled[picks]
+        return unlabeled[picks], None, None
 
     # alamp and alamp-div rank by the shift from the previous model's
     # margins, and alamp-div spreads over its pseudo classes.
-    ranked, pseudo_from = acquisition.margin_scores(probs), probs
+    probs = classifier.predict_proba(model, train.features, unlabeled, rows)
+    margins, pseudo = acquisition.margin_scores(probs), acquisition.pseudo_classes(probs)
+    ranked = margins
     if af in ("alamp", "alamp-div"):
-        ranked = acquisition.alamp_scores(
-            acquisition.margin_scores(state.prev_probs), ranked)
-        pseudo_from = state.prev_probs
+        ranked = acquisition.alamp_scores(state.prev_margins, margins)
     if af in ("margin", "alamp"):
-        return ranked.top(batch)
-    if af in ("alamp-div", "marg-div"):
-        order = ranked.order
-    elif af == "rand-div":
-        order = np.random.default_rng(seed).permutation(np.sort(unlabeled))
-    else:
-        raise EngineError(f"unknown acquisition function {af!r}")
-    return acquisition.diversify(order, pseudo_from.sample_ids,
-                                 acquisition.pseudo_classes(pseudo_from), batch)
+        picks = ranked.top(batch)
+    elif af == "alamp-div":
+        picks = acquisition.diversify(ranked.order, state.prev_margins.sample_ids,
+                                      state.prev_pseudo, batch)
+    elif af == "marg-div":
+        picks = acquisition.diversify(ranked.order, unlabeled, pseudo, batch)
+    else:  # rand-div
+        picks = acquisition.diversify(np.random.default_rng(seed).permutation(unlabeled),
+                                      unlabeled, pseudo, batch)
+    return picks, margins, pseudo
 
 
 def step(state: PoolState, model: Model, af: str, train: Dataset, seed: int,
          batch: int, cost_sensitive: bool = True):
-    """One protocol iteration: score, select, label, retrain.
+    """One protocol iteration: score if the rule reads scores, select, label, retrain.
 
     Returns the new pool state, the retrained model, and a record of the
     selection (test accuracy is filled in by the caller, which owns the test
     set).
     """
+    if af not in AF_NAMES:
+        raise EngineError(f"unknown acquisition function {af!r}")
+    if batch < 1:
+        raise EngineError("batch size must be >= 1")
     if len(state.unlabeled_ids) < batch:
         raise EngineError("unlabeled pool exhausted")
     k = state.iteration + 1
     step_seed = _step_seed(seed, k)
-
-    unlabeled_rows = train.rows_for(state.unlabeled_ids)
-    probs = classifier.predict_proba(model, train.features, state.unlabeled_ids,
-                                     unlabeled_rows)
-    selected = _select(state, model, af, train, unlabeled_rows, probs, batch,
-                       step_seed)
+    selected, margins, pseudo = _select(state, model, af, train, batch, step_seed)
 
     new_labeled = np.concatenate([state.labeled_ids, selected])
-    new_unlabeled = np.setdiff1d(state.unlabeled_ids, selected)
-    new_state = PoolState(
-        labeled_ids=new_labeled,
-        unlabeled_ids=new_unlabeled,
-        iteration=k,
-        prev_probs=probs,
-    )
+    new_state = PoolState(labeled_ids=new_labeled,
+                          unlabeled_ids=np.setdiff1d(state.unlabeled_ids, selected),
+                          iteration=k, prev_margins=margins, prev_pseudo=pseudo)
     pool = train.subset(new_labeled)
     return new_state, _fit(pool, cost_sensitive, step_seed), _record(k, pool, selected)
 

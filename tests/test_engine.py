@@ -47,7 +47,7 @@ class TestInitPool:
         assert len(state.labeled_ids) == 30
         assert len(state.unlabeled_ids) == train.n_samples - 30
         assert set(state.labeled_ids).isdisjoint(state.unlabeled_ids)
-        assert state.prev_probs is None
+        assert state.prev_margins is None and state.prev_pseudo is None
         assert model.n_classes == train.n_classes
         # iteration 0's record describes the seed batch; accuracy is the caller's
         assert (record.iteration, record.labeled_count) == (0, 30)
@@ -103,8 +103,9 @@ class TestStep:
         rows = np.zeros((len(ids), train.n_classes))
         rows[np.arange(len(ids)), prev_class] = (1 + m) / 2
         rows[np.arange(len(ids)), prev_class + 1] = (1 - m) / 2
-        state = dataclasses.replace(state, prev_probs=classifier.ProbMatrix(
-            probs=rows, sample_ids=ids))
+        prev = classifier.ProbMatrix(probs=rows, sample_ids=ids)
+        state = dataclasses.replace(state, prev_margins=acquisition.margin_scores(prev),
+                                    prev_pseudo=acquisition.pseudo_classes(prev))
         curr = classifier.predict_proba(model, train.features[train.rows_for(ids)], ids)
 
         def margin(probs):
@@ -135,9 +136,12 @@ class TestStep:
         train, _ = pools
         state, model, _ = init_pool(train, PLAN, 0)
         for _ in range(3):
+            scored = state.unlabeled_ids
             state, model, _ = step(state, model, "alamp", train, 0, PLAN.batch)
-            prev_ids = set(state.prev_probs.sample_ids.tolist())
+            prev_ids = set(state.prev_margins.sample_ids.tolist())
             assert set(state.unlabeled_ids.tolist()) <= prev_ids
+            assert state.prev_margins.scores.shape == (len(scored),)
+            assert state.prev_pseudo.shape == (len(scored),)
 
     def test_pool_exhaustion(self, pools):
         train, _ = pools
@@ -145,11 +149,53 @@ class TestStep:
         with pytest.raises(EngineError):
             step(state, model, "margin", train, 0, len(state.unlabeled_ids) + 1)
 
-    def test_unknown_af(self, pools):
+    def test_unknown_af(self, pools, monkeypatch):
         train, _ = pools
         state, model, _ = init_pool(train, PLAN, 0)
+        calls = count_calls(monkeypatch, classifier, "predict_proba")
         with pytest.raises(EngineError):
             step(state, model, "entropy", train, 0, PLAN.batch)
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize("af", ["margin", "coreset", "random"])
+    @pytest.mark.parametrize("batch", [0, -3])
+    def test_batch_below_one_rejected(self, pools, af, batch):
+        # a negative batch would slice `order[:-3]`, all but three samples
+        train, _ = pools
+        state, model, _ = init_pool(train, PLAN, 0)
+        with pytest.raises(EngineError, match="batch size must be >= 1"):
+            step(state, model, af, train, 0, batch)
+
+
+def count_calls(monkeypatch, module, name):
+    """Patch `module.name` to record one entry per call in the returned list."""
+    calls, original = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestStepScoresOnlyWhatItReads:
+    @pytest.mark.parametrize("af, expected", [("random", 0), ("coreset", 0), ("margin", 1)])
+    def test_predict_proba_calls(self, pools, monkeypatch, af, expected):
+        train, _ = pools
+        state, model, _ = init_pool(train, PLAN, 0)
+        calls = count_calls(monkeypatch, classifier, "predict_proba")
+        step(state, model, af, train, 0, PLAN.batch)
+        assert len(calls) == expected
+
+    def test_second_alamp_step_scores_margins_once(self, pools, monkeypatch):
+        # the previous model's margins come from the state, not a re-score
+        train, _ = pools
+        state, model, _ = init_pool(train, PLAN, 0)
+        state, model, _ = step(state, model, "alamp", train, 0, PLAN.batch)
+        calls = count_calls(monkeypatch, acquisition, "margin_scores")
+        step(state, model, "alamp", train, 0, PLAN.batch)
+        assert len(calls) == 1
 
 
 def relu_dataset(n_classes, per_class, dim, rank, separation, seed):
@@ -235,13 +281,7 @@ class TestSharedFirstSteps:
         # marg-div, so 1 initial fit + 7 strategies x 2 steps - 2 shared = 13
         train, test = pools
         plan = BudgetPlan(90, 3)
-        fit, calls = engine._fit, []
-
-        def counting_fit(*args):
-            calls.append(1)
-            return fit(*args)
-
-        monkeypatch.setattr(engine, "_fit", counting_fit)
+        calls = count_calls(monkeypatch, engine, "_fit")
         reports = run_strategies(train, test, AF_NAMES, plan, 5)
         assert len(calls) == 13
         monkeypatch.undo()
