@@ -5,15 +5,15 @@ the cross-iteration certainty-shift score (alamp), and pseudo-class
 diversified variants (alamp-div, rand-div, marg-div), driven by a
 deterministic linear one-vs-rest classifier.
 
-The acquisition functions take and return arrays aligned with sample ids:
-`margin_scores(probs)` and `alamp_scores(prev, curr)` give a `ScoredPool`
-whose `scores[i]` belongs to `sample_ids[i]`, `pseudo_classes(probs)` gives
-the class of each `probs.sample_ids` entry, and `diversify(ordered_ids, ids,
-classes, batch)` reads the pseudo class of `ids[i]` from `classes[i]`.
+The acquisition functions take and return arrays aligned by position:
+`margin_scores(probs)` and `pseudo_classes(probs)` give one value per row of
+a `ProbMatrix`, `alamp_scores(prev, curr)` combines two aligned margin arrays,
+and `diversify(ranked_classes, batch)` returns positions in the ranking. The
+engine keeps every per-sample array aligned with the ascending unlabeled ids
+and maps its picks to ids once.
 """
 
 from .acquisition import (
-    ScoredPool,
     alamp_scores,
     coreset_select,
     diversify,

@@ -4,28 +4,22 @@ Implements random selection, margin uncertainty sampling, greedy k-center
 coreset selection, the cross-iteration certainty-shift score (alamp), and the
 pseudo-class diversification pass used by the *-div strategies.
 
-Per-sample values are arrays aligned with an id array: `scores[i]` of a
-`ScoredPool` and `probs[i]` of a `ProbMatrix` belong to `sample_ids[i]`,
-`pseudo_classes` gives one class per `ProbMatrix` row, and `diversify` reads
-the pseudo class of `ids[i]` from `classes[i]`; ids are matched by value.
-
-Orderings break ties by ascending sample id, so results are reproducible
-across platforms and thread counts. `coreset_select` takes feature matrices,
-not ids, and breaks ties by the lowest position in its pool; the engine passes
-the unlabeled pool in ascending id order, so those ties go by id too.
+Per-sample values are arrays aligned by position: `margin_scores` and
+`pseudo_classes` give one value per row of a `ProbMatrix`, `alamp_scores`
+combines two margin arrays of the same samples in the same order, and
+`diversify` and `coreset_select` return positions (in the ranking and in the
+pool). Ties go to the lowest position; the engine keeps the unlabeled pool in
+ascending id order and maps positions to ids once, so its ties go to the
+lowest id, whatever the platform or thread count.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .classifier import ProbMatrix
-from .dataset import positions
 
 __all__ = [
-    "ScoredPool",
     "AcquisitionError",
     "margin_scores",
     "alamp_scores",
@@ -40,69 +34,48 @@ class AcquisitionError(ValueError):
     """Raised for invalid acquisition inputs."""
 
 
-@dataclasses.dataclass(frozen=True)
-class ScoredPool:
-    """Scores for an unlabeled pool plus the induced selection order.
-
-    `order` is a permutation of sample_ids sorted per the acquisition
-    function's direction; equal scores appear in ascending id order.
-    """
-
-    sample_ids: np.ndarray
-    scores: np.ndarray
-    order: np.ndarray
-
-    def top(self, batch: int) -> np.ndarray:
-        return self.order[:batch]
-
-
 # Rows per block of the distance computations in `coreset_select`.
 _BLOCK = 2048
 
 
-def _pool(ids: np.ndarray, scores: np.ndarray, descending: bool) -> ScoredPool:
-    key = -scores if descending else scores
-    return ScoredPool(sample_ids=ids, scores=scores, order=ids[np.lexsort((ids, key))])
+def _check_batch(batch: int, size: int) -> None:
+    if batch < 1:
+        raise AcquisitionError("batch size must be >= 1")
+    if batch > size:
+        raise AcquisitionError(f"batch {batch} exceeds pool size {size}")
 
 
-def _positions(ids, wanted, what: str) -> np.ndarray:
-    try:
-        return positions(ids, wanted)
-    except KeyError as exc:
-        raise AcquisitionError(f"sample {exc.args[0]} has no {what}") from None
-
-
-def margin_scores(probs: ProbMatrix) -> ScoredPool:
-    """Top-2 probability gap per sample, ordered ascending (uncertain first)."""
+def margin_scores(probs: ProbMatrix) -> np.ndarray:
+    """Top-2 probability gap of each row of `probs`; the smallest is the most
+    uncertain."""
     p = probs.probs
     if p.shape[1] < 2:
         raise AcquisitionError("margin needs at least 2 classes")
     top2 = np.partition(p, p.shape[1] - 2, axis=1)[:, -2:]
-    scores = top2[:, 1] - top2[:, 0]
-    return _pool(probs.sample_ids, scores, descending=False)
+    return top2[:, 1] - top2[:, 0]
 
 
-def alamp_scores(prev: ScoredPool, curr: ScoredPool) -> ScoredPool:
-    """Relative certainty shift between the previous and current model's
-    margin pools (`margin_scores`), ordered descending.
+def alamp_scores(prev, curr) -> np.ndarray:
+    """Relative certainty shift of each sample from its margin under the
+    previous model, `prev[i]`, to its margin under the current one, `curr[i]`.
 
-    score(x) = (m_prev - m_curr) / (m_prev + m_curr); 0 when both margins are
-    zero. Samples whose prediction moved from certain to uncertain rank first.
-    Every id of `curr` is scored, and each must have a margin in `prev` (the
-    unlabeled pool only shrinks); ids of `prev` outside `curr` are ignored.
+    score = (m_prev - m_curr) / (m_prev + m_curr); 0 when both margins are
+    zero. Samples whose prediction moved from certain to uncertain score
+    highest.
     """
-    prev_m = prev.scores[_positions(prev.sample_ids, curr.sample_ids,
-                                    "previous-iteration margin")]
-    total = prev_m + curr.scores
-    scores = np.where(total > 0, (prev_m - curr.scores) / np.where(total > 0, total, 1.0), 0.0)
-    return _pool(curr.sample_ids, scores, descending=True)
+    prev = np.asarray(prev, dtype=np.float64)
+    curr = np.asarray(curr, dtype=np.float64)
+    if prev.shape != curr.shape:
+        raise AcquisitionError(
+            f"previous margins of shape {prev.shape} do not align with current {curr.shape}")
+    total = prev + curr
+    return np.where(total > 0, (prev - curr) / np.where(total > 0, total, 1.0), 0.0)
 
 
 def random_select(pool_ids, batch: int, seed: int) -> np.ndarray:
     """Uniform sample without replacement, deterministic per seed."""
     pool = np.sort(np.asarray(pool_ids, dtype=np.int64))
-    if batch > len(pool):
-        raise AcquisitionError(f"batch {batch} exceeds pool size {len(pool)}")
+    _check_batch(batch, len(pool))
     rng = np.random.default_rng(seed)
     return rng.choice(pool, size=batch, replace=False)
 
@@ -127,8 +100,7 @@ def coreset_select(pool, centres, batch: int) -> np.ndarray:
     centres = np.asarray(centres, dtype=np.float64)
     if len(centres) == 0:
         raise AcquisitionError("coreset needs a non-empty labeled set")
-    if batch > len(pool):
-        raise AcquisitionError(f"batch {batch} exceeds pool size {len(pool)}")
+    _check_batch(batch, len(pool))
 
     u_sq = np.empty(len(pool))
     for start in range(0, len(pool), _BLOCK):
@@ -157,9 +129,9 @@ def coreset_select(pool, centres, batch: int) -> np.ndarray:
     return np.array(picks, dtype=np.int64)
 
 
-def diversify(ordered_ids, ids, classes, batch: int) -> np.ndarray:
-    """Spread a ranked selection across pseudo classes; the pseudo class of
-    ids[i] is classes[i], and every ranked id must be among `ids`.
+def diversify(ranked_classes, batch: int) -> np.ndarray:
+    """Spread a ranked selection across pseudo classes: `ranked_classes[r]` is
+    the pseudo class of the sample ranked r, and the result holds ranks.
 
     Repeated passes over the ranking: within a pass each pseudo class
     contributes at most one new sample. Passes repeat until the batch is
@@ -168,20 +140,16 @@ def diversify(ordered_ids, ids, classes, batch: int) -> np.ndarray:
     the selection is a stable sort by (rank within class, position in the
     ranking), cut to the batch.
     """
-    ordered = np.asarray(ordered_ids, dtype=np.int64)
-    if batch > len(ordered):
-        raise AcquisitionError(f"batch {batch} exceeds pool size {len(ordered)}")
-    if len(np.unique(ordered)) != len(ordered):
-        raise AcquisitionError("ranking repeats a sample id")
-    classes = np.asarray(classes)[_positions(ids, ordered, "pseudo class")]
+    classes = np.asarray(ranked_classes)
+    _check_batch(batch, len(classes))
     by_class = np.argsort(classes, kind="stable")
     grouped = classes[by_class]
-    rank = np.empty(len(ordered), dtype=np.int64)
-    rank[by_class] = np.arange(len(ordered)) - np.searchsorted(grouped, grouped)
-    return ordered[np.argsort(rank, kind="stable")[:batch]]
+    rank = np.empty(len(classes), dtype=np.int64)
+    rank[by_class] = np.arange(len(classes)) - np.searchsorted(grouped, grouped)
+    return np.argsort(rank, kind="stable")[:batch]
 
 
 def pseudo_classes(probs: ProbMatrix) -> np.ndarray:
-    """Predicted class of each row of `probs`, aligned with `probs.sample_ids`
-    (argmax, ties to the lowest class id)."""
+    """Predicted class of each row of `probs` (argmax, ties to the lowest
+    class id)."""
     return np.argmax(probs.probs, axis=1)

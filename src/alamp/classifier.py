@@ -82,10 +82,9 @@ class Model:
 
 @dataclasses.dataclass(frozen=True)
 class ProbMatrix:
-    """Per-sample class-probability rows, aligned with sample_ids."""
+    """Class-probability rows, one per scored sample, in the order scored."""
 
-    probs: np.ndarray       # (n_scored, n_classes), rows sum to 1
-    sample_ids: np.ndarray  # (n_scored,)
+    probs: np.ndarray  # (n_scored, n_classes), rows sum to 1
 
 
 def class_weights(counts) -> np.ndarray:
@@ -315,16 +314,14 @@ def decision_values(model: Model, features, rows=None) -> np.ndarray:
     return dv
 
 
-def predict_proba(model: Model, features, sample_ids=None, rows=None) -> ProbMatrix:
+def predict_proba(model: Model, features, rows=None) -> ProbMatrix:
     """Softmax over decision values, of `features` or of its `rows` only; rows
     sum to 1 within 1e-6. The softmax runs in place on the decision values."""
     probs = decision_values(model, features, rows)
     probs -= probs.max(axis=1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)
-    if sample_ids is None:
-        sample_ids = np.arange(len(probs), dtype=np.int64)
-    return ProbMatrix(probs=probs, sample_ids=np.asarray(sample_ids, dtype=np.int64))
+    return ProbMatrix(probs=probs)
 
 
 def predict(model: Model, features) -> np.ndarray:

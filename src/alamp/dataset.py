@@ -19,7 +19,6 @@ __all__ = [
     "write_dataset",
     "make_synthetic",
     "train_test_split",
-    "positions",
     "imbalance_ratio",
     "induce_imbalance",
 ]
@@ -80,10 +79,12 @@ class Dataset:
 
     def rows_for(self, sample_ids) -> np.ndarray:
         """Row positions of the given sample ids (error on unknown ids)."""
-        try:
-            return positions(self.sample_ids, sample_ids)
-        except KeyError as exc:
-            raise DatasetError(f"unknown sample_id {exc.args[0]}") from None
+        wanted = np.asarray(sample_ids, dtype=np.int64).ravel()
+        unknown = ~np.isin(wanted, self.sample_ids)
+        if unknown.any():
+            raise DatasetError(f"unknown sample_id {int(wanted[unknown][0])}")
+        order = np.argsort(self.sample_ids)
+        return order[np.searchsorted(self.sample_ids, wanted, sorter=order)]
 
     def subset(self, sample_ids) -> "Dataset":
         """New Dataset restricted to the given ids; ids are preserved."""
@@ -98,20 +99,6 @@ class Dataset:
     def class_counts(self) -> np.ndarray:
         """Per-class sample counts, length n_classes."""
         return np.bincount(self.labels, minlength=self.n_classes)
-
-
-def positions(ids, wanted) -> np.ndarray:
-    """Index into `ids` (unique, in any order) of each id in `wanted`.
-
-    Raises KeyError with the first id in `wanted` that `ids` lacks.
-    """
-    ids = np.asarray(ids, dtype=np.int64)
-    wanted = np.asarray(wanted, dtype=np.int64).ravel()
-    unknown = ~np.isin(wanted, ids)
-    if unknown.any():
-        raise KeyError(int(wanted[unknown][0]))
-    order = np.argsort(ids)
-    return order[np.searchsorted(ids, wanted, sorter=order)]
 
 
 def _check_finite(values, linenos, dim) -> None:

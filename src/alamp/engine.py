@@ -67,15 +67,29 @@ class BudgetPlan:
 
 @dataclasses.dataclass(frozen=True)
 class PoolState:
-    """Labeled/unlabeled partition, plus the margin pool and pseudo classes of
-    the model that picked the last batch: None after a `random` or `coreset`
-    step, which scores nothing, so an alamp step from there selects as margin."""
+    """Labeled/unlabeled partition, plus the margins and pseudo classes of the
+    model that picked the last batch, aligned with `unlabeled_ids`: None after
+    a `random` or `coreset` step, which scores nothing, so an alamp step from
+    there selects as margin."""
 
     labeled_ids: np.ndarray    # in labeling order
-    unlabeled_ids: np.ndarray  # ascending
+    unlabeled_ids: np.ndarray  # strictly ascending
     iteration: int
-    prev_margins: acquisition.ScoredPool | None = None
+    prev_margins: np.ndarray | None = None
     prev_pseudo: np.ndarray | None = None
+
+    def __post_init__(self):
+        # selection breaks ties by position in the unlabeled pool, which is
+        # the id order only while the pool is ascending
+        ids = np.asarray(self.unlabeled_ids)
+        if np.any(ids[1:] <= ids[:-1]):
+            raise EngineError("unlabeled_ids must be strictly ascending")
+        if (self.prev_margins is None) != (self.prev_pseudo is None):
+            raise EngineError("prev_margins and prev_pseudo must be set together")
+        for name in ("prev_margins", "prev_pseudo"):
+            value = getattr(self, name)
+            if value is not None and np.shape(value) != (len(ids),):
+                raise EngineError(f"{name} must hold one entry per unlabeled id")
 
 
 def _step_seed(seed: int, k: int) -> int:
@@ -144,8 +158,14 @@ def init_pool(train: Dataset, plan: BudgetPlan, seed: int,
 def _select(state: PoolState, model: Model, af: str, train: Dataset, batch: int,
             seed: int):
     """Pick the next batch of sample ids per the acquisition function; also
-    returns the current model's margin pool and its pseudo classes (aligned
-    with `state.unlabeled_ids`), or None for both if the rule reads no scores."""
+    returns the current model's margins and pseudo classes, or None for both
+    if the rule reads no scores.
+
+    Every per-sample array here, the state's included, is aligned with
+    `state.unlabeled_ids`. The coreset and scored rules pick positions in it
+    and map them to ids on return (random draws ids). The pool is ascending,
+    so a tie broken to the lowest position goes to the lowest id.
+    """
     unlabeled = state.unlabeled_ids
     if state.prev_margins is None:
         af = FIRST_STEP_RULE.get(af, af)
@@ -154,9 +174,7 @@ def _select(state: PoolState, model: Model, af: str, train: Dataset, batch: int,
 
     rows = train.rows_for(unlabeled)
     if af == "coreset":
-        # Euclidean distances on the model-standardized features. The picks
-        # are positions in the unlabeled pool, which is in ascending id order,
-        # so ties go to the lowest id.
+        # Euclidean distances on the model-standardized features
         picks = acquisition.coreset_select(
             classifier.standardize(model, train.features, rows),
             classifier.standardize(model, train.features, train.rows_for(state.labeled_ids)),
@@ -165,22 +183,20 @@ def _select(state: PoolState, model: Model, af: str, train: Dataset, batch: int,
 
     # alamp and alamp-div rank by the shift from the previous model's
     # margins, and alamp-div spreads over its pseudo classes.
-    probs = classifier.predict_proba(model, train.features, unlabeled, rows)
+    probs = classifier.predict_proba(model, train.features, rows=rows)
     margins, pseudo = acquisition.margin_scores(probs), acquisition.pseudo_classes(probs)
-    ranked = margins
-    if af in ("alamp", "alamp-div"):
-        ranked = acquisition.alamp_scores(state.prev_margins, margins)
+    if af == "rand-div":
+        order = np.random.default_rng(seed).permutation(len(unlabeled))
+    elif af in ("alamp", "alamp-div"):
+        order = np.argsort(-acquisition.alamp_scores(state.prev_margins, margins), kind="stable")
+    else:
+        order = np.argsort(margins, kind="stable")
     if af in ("margin", "alamp"):
-        picks = ranked.top(batch)
-    elif af == "alamp-div":
-        picks = acquisition.diversify(ranked.order, state.prev_margins.sample_ids,
-                                      state.prev_pseudo, batch)
-    elif af == "marg-div":
-        picks = acquisition.diversify(ranked.order, unlabeled, pseudo, batch)
-    else:  # rand-div
-        picks = acquisition.diversify(np.random.default_rng(seed).permutation(unlabeled),
-                                      unlabeled, pseudo, batch)
-    return picks, margins, pseudo
+        picks = order[:batch]
+    else:
+        classes = state.prev_pseudo if af == "alamp-div" else pseudo
+        picks = order[acquisition.diversify(classes[order], batch)]
+    return unlabeled[picks], margins, pseudo
 
 
 def step(state: PoolState, model: Model, af: str, train: Dataset, seed: int,
@@ -201,9 +217,11 @@ def step(state: PoolState, model: Model, af: str, train: Dataset, seed: int,
     step_seed = _step_seed(seed, k)
     selected, margins, pseudo = _select(state, model, af, train, batch, step_seed)
 
+    keep = ~np.isin(state.unlabeled_ids, selected)
+    if margins is not None:
+        margins, pseudo = margins[keep], pseudo[keep]
     new_labeled = np.concatenate([state.labeled_ids, selected])
-    new_state = PoolState(labeled_ids=new_labeled,
-                          unlabeled_ids=np.setdiff1d(state.unlabeled_ids, selected),
+    new_state = PoolState(labeled_ids=new_labeled, unlabeled_ids=state.unlabeled_ids[keep],
                           iteration=k, prev_margins=margins, prev_pseudo=pseudo)
     pool = train.subset(new_labeled)
     return new_state, _fit(pool, cost_sensitive, step_seed), _record(k, pool, selected)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from alamp import acquisition, classifier, engine, metrics
-from alamp.acquisition import ScoredPool, coreset_select, margin_scores
+from alamp.acquisition import alamp_scores, coreset_select, margin_scores
 from alamp.classifier import ProbMatrix, gradients, objective, predict, predict_proba
 from alamp.dataset import (
     imbalance_ratio,
@@ -34,18 +34,11 @@ def report_pass(num, name):
     print(PASS_LINE.format(num=num, name=name))
 
 
-def alamp_scores(marg_prev, marg_curr):
-    """`acquisition.alamp_scores` on {sample id: margin} fixtures."""
-    def pool(margins):
-        ids = np.array(sorted(margins), dtype=np.int64)
-        scores = np.array([margins[i] for i in ids.tolist()], dtype=np.float64)
-        return ScoredPool(sample_ids=ids, scores=scores, order=ids[np.lexsort((ids, scores))])
-    return acquisition.alamp_scores(pool(marg_prev), pool(marg_curr))
-
-
 def diversify(ordered, pseudo, batch):
-    """`acquisition.diversify` on a {sample id: pseudo class} fixture."""
-    return acquisition.diversify(ordered, list(pseudo), list(pseudo.values()), batch)
+    """`acquisition.diversify` on a ranking of ids and a {sample id: pseudo
+    class} fixture, its picks mapped back to ids."""
+    ranks = acquisition.diversify([pseudo[i] for i in ordered], batch)
+    return np.asarray(ordered, dtype=np.int64)[ranks]
 
 
 def coreset_rows(features, labeled, unlabeled, batch):
@@ -58,18 +51,17 @@ def coreset_rows(features, labeled, unlabeled, batch):
 
 def test_criterion_1_formula_fidelity():
     start = time.time()
-    pm = ProbMatrix(probs=np.array([[0.6, 0.3, 0.1]]), sample_ids=np.array([0]))
-    assert abs(margin_scores(pm).scores[0] - 0.3) <= 1e-12
+    pm = ProbMatrix(probs=np.array([[0.6, 0.3, 0.1]]))
+    assert abs(margin_scores(pm)[0] - 0.3) <= 1e-12
 
-    assert abs(alamp_scores({0: 0.8}, {0: 0.2}).scores[0] - 0.6) <= 1e-12
-    assert abs(alamp_scores({0: 0.45}, {0: 0.45}).scores[0]) <= 1e-12
+    assert abs(alamp_scores([0.8], [0.2])[0] - 0.6) <= 1e-12
+    assert abs(alamp_scores([0.45], [0.45])[0]) <= 1e-12
 
     # equal absolute shift: the pair with lower certainty sum ranks first
-    pool = alamp_scores({1: 0.4, 2: 0.8}, {1: 0.2, 2: 0.6})
-    scores = dict(zip(pool.sample_ids.tolist(), pool.scores.tolist()))
-    assert abs(scores[1] - 1.0 / 3.0) <= 1e-12
-    assert abs(scores[2] - 1.0 / 7.0) <= 1e-12
-    assert list(pool.order) == [1, 2]
+    scores = alamp_scores([0.4, 0.8], [0.2, 0.6])
+    assert abs(scores[0] - 1.0 / 3.0) <= 1e-12
+    assert abs(scores[1] - 1.0 / 7.0) <= 1e-12
+    assert scores[0] > scores[1]
 
     assert time.time() - start < 1.0
     report_pass(1, "formula fidelity")

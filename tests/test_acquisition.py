@@ -5,59 +5,40 @@ from hypothesis import example, given, settings, strategies as st
 from alamp import acquisition
 from alamp.acquisition import (
     AcquisitionError,
-    ScoredPool,
+    alamp_scores,
     coreset_select,
     margin_scores,
+    pseudo_classes,
     random_select,
 )
 from alamp.classifier import ProbMatrix
 
 
-def probs_of(rows, ids=None):
-    rows = np.asarray(rows, dtype=np.float64)
-    if ids is None:
-        ids = np.arange(len(rows))
-    return ProbMatrix(probs=rows, sample_ids=np.asarray(ids, dtype=np.int64))
-
-
-def margin_pool(margins):
-    """A margin ScoredPool (ascending) from a {sample id: margin} fixture."""
-    ids = np.array(sorted(margins), dtype=np.int64)
-    scores = np.array([margins[i] for i in ids.tolist()], dtype=np.float64)
-    return ScoredPool(sample_ids=ids, scores=scores, order=ids[np.lexsort((ids, scores))])
-
-
-def alamp_scores(marg_prev, marg_curr):
-    """`acquisition.alamp_scores` on {sample id: margin} fixtures."""
-    return acquisition.alamp_scores(margin_pool(marg_prev), margin_pool(marg_curr))
+def probs_of(rows):
+    return ProbMatrix(probs=np.asarray(rows, dtype=np.float64))
 
 
 def diversify(ordered, pseudo, batch):
-    """`acquisition.diversify` on a {sample id: pseudo class} fixture."""
-    return acquisition.diversify(ordered, list(pseudo), list(pseudo.values()), batch)
-
-
-def pseudo_classes(probs):
-    """`acquisition.pseudo_classes` as a {sample id: class} dict."""
-    return dict(zip(probs.sample_ids.tolist(), acquisition.pseudo_classes(probs).tolist()))
+    """`acquisition.diversify` on a ranking of ids and a {sample id: pseudo
+    class} fixture, its picks mapped back to ids."""
+    ranks = acquisition.diversify([pseudo[i] for i in ordered], batch)
+    return np.asarray(ordered, dtype=np.int64)[ranks]
 
 
 class TestMarginScores:
     def test_top2_gap(self):
-        pool = margin_scores(probs_of([[0.6, 0.3, 0.1]]))
-        assert pool.scores[0] == pytest.approx(0.3, abs=1e-12)
+        margins = margin_scores(probs_of([[0.6, 0.3, 0.1]]))
+        assert margins[0] == pytest.approx(0.3, abs=1e-12)
 
     def test_uniform_row_zero(self):
-        pool = margin_scores(probs_of([[0.25] * 4]))
-        assert pool.scores[0] == pytest.approx(0.0, abs=1e-12)
+        margins = margin_scores(probs_of([[0.25] * 4]))
+        assert margins[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_ascending_order(self):
-        pool = margin_scores(probs_of([[0.9, 0.1], [0.55, 0.45]], ids=[10, 20]))
-        assert list(pool.order) == [20, 10]
-
-    def test_ties_broken_by_id(self):
-        pool = margin_scores(probs_of([[0.7, 0.3], [0.7, 0.3]], ids=[5, 2]))
-        assert list(pool.order) == [2, 5]
+        # one margin per row, in row order: the uncertain row scores lower,
+        # so it ranks first in the engine's ascending order
+        margins = margin_scores(probs_of([[0.9, 0.1], [0.55, 0.45]]))
+        assert margins.tolist() == pytest.approx([0.8, 0.1], abs=1e-12)
 
     def test_single_class_rejected(self):
         with pytest.raises(AcquisitionError):
@@ -66,48 +47,40 @@ class TestMarginScores:
     def test_scores_in_unit_interval(self):
         rng = np.random.default_rng(0)
         raw = rng.dirichlet(np.ones(5), size=100)
-        pool = margin_scores(probs_of(raw))
-        assert np.all(pool.scores >= 0) and np.all(pool.scores <= 1)
+        margins = margin_scores(probs_of(raw))
+        assert np.all(margins >= 0) and np.all(margins <= 1)
 
 
 class TestAlampScores:
     def test_shift_arithmetic(self):
-        pool = alamp_scores({0: 0.8}, {0: 0.2})
-        assert pool.scores[0] == pytest.approx(0.6, abs=1e-12)
+        assert alamp_scores([0.8], [0.2])[0] == pytest.approx(0.6, abs=1e-12)
 
     def test_no_shift_zero(self):
-        pool = alamp_scores({0: 0.5}, {0: 0.5})
-        assert pool.scores[0] == pytest.approx(0.0, abs=1e-12)
+        assert alamp_scores([0.5], [0.5])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_both_zero_defined_as_zero(self):
-        pool = alamp_scores({0: 0.0}, {0: 0.0})
-        assert pool.scores[0] == 0.0
+        assert alamp_scores([0.0], [0.0])[0] == 0.0
 
     def test_equal_shift_prefers_lower_certainty_sum(self):
         # a: 0.4 -> 0.2 scores 1/3; b: 0.8 -> 0.6 scores 1/7
-        pool = alamp_scores({1: 0.4, 2: 0.8}, {1: 0.2, 2: 0.6})
-        scores = dict(zip(pool.sample_ids.tolist(), pool.scores.tolist()))
-        assert scores[1] == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert scores[2] == pytest.approx(1.0 / 7.0, abs=1e-12)
-        assert list(pool.order) == [1, 2]
+        scores = alamp_scores([0.4, 0.8], [0.2, 0.6])
+        assert scores[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert scores[1] == pytest.approx(1.0 / 7.0, abs=1e-12)
+        assert scores[0] > scores[1]
 
     def test_missing_previous_margin_rejected(self):
         with pytest.raises(AcquisitionError):
-            alamp_scores({0: 0.5}, {0: 0.5, 1: 0.2})
-
-    def test_descending_with_id_ties(self):
-        pool = alamp_scores({3: 0.5, 1: 0.5}, {3: 0.5, 1: 0.5})
-        assert list(pool.order) == [1, 3]
+            alamp_scores([0.5], [0.5, 0.2])
 
     @given(st.floats(0.01, 1.0), st.floats(0.01, 1.0), st.floats(0.1, 10.0))
     def test_scale_invariance(self, prev, curr, k):
-        base = alamp_scores({0: prev}, {0: curr}).scores[0]
-        scaled = alamp_scores({0: k * prev}, {0: k * curr}).scores[0]
+        base = alamp_scores([prev], [curr])[0]
+        scaled = alamp_scores([k * prev], [k * curr])[0]
         assert scaled == pytest.approx(base, abs=1e-12)
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_range(self, prev, curr):
-        score = alamp_scores({0: prev}, {0: curr}).scores[0]
+        score = alamp_scores([prev], [curr])[0]
         assert -1.0 <= score <= 1.0
 
 
@@ -121,9 +94,6 @@ class TestRandomSelect:
         b = random_select(range(100), 10, 42)
         assert np.array_equal(a, b)
 
-    def test_empty_batch(self):
-        assert len(random_select([1, 2], 0, 0)) == 0
-
     def test_batch_too_large(self):
         with pytest.raises(AcquisitionError):
             random_select([1, 2], 3, 0)
@@ -131,6 +101,20 @@ class TestRandomSelect:
     def test_no_duplicates(self):
         sel = random_select(range(50), 25, 7)
         assert len(set(sel.tolist())) == 25
+
+
+SELECTIONS = {
+    "random_select": lambda batch: random_select([0, 1, 2, 3], batch, 0),
+    "coreset_select": lambda batch: coreset_select(np.arange(4.0)[:, None], [[0.0]], batch),
+    "diversify": lambda batch: acquisition.diversify([0, 0, 1, 1], batch),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SELECTIONS))
+@pytest.mark.parametrize("batch", [0, -1, -2])
+def test_batch_below_one_rejected(name, batch):
+    with pytest.raises(AcquisitionError, match="batch size must be >= 1"):
+        SELECTIONS[name](batch)
 
 
 def coreset_rows(features, labeled, unlabeled, batch):
@@ -351,17 +335,9 @@ class TestDiversify:
         for ordered, pseudo, batch, expected in cases:
             assert list(diversify(ordered, pseudo, batch)) == expected
 
-    def test_missing_pseudo_rejected(self):
-        with pytest.raises(AcquisitionError):
-            diversify([0, 1], {0: 0}, 2)
-
     def test_batch_too_large(self):
         with pytest.raises(AcquisitionError):
             diversify([0], {0: 0}, 2)
-
-    def test_repeated_id_rejected(self):
-        with pytest.raises(AcquisitionError):
-            diversify([1, 1, 2], {1: 0, 2: 1}, 2)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(2, 6), st.integers(5, 40), st.integers(0, 2 ** 31))
@@ -390,11 +366,9 @@ class TestDiversify:
     @example([3] * 40, 1, 0.5)   # one class, several passes
     @example([0, 1, 2] * 10, 2, 1.0)
     def test_matches_pass_loop_reference(self, classes, seed, batch_frac):
-        # ids are sparse and ranked in random order; the mapping also holds
-        # ids outside the ranking, as the previous model's pseudo classes do
+        # ids are sparse and ranked in random order
         ids = [3 * i + 1 for i in range(len(classes))]
         pseudo = dict(zip(ids, classes))
-        pseudo.update({0: 0, 3 * len(ids) + 1: 1})
         ordered = np.random.default_rng(seed).permutation(ids).tolist()
         batch = 1 + int(batch_frac * (len(ids) - 1))
         got = diversify(ordered, pseudo, batch)
@@ -403,13 +377,11 @@ class TestDiversify:
 
 class TestPseudoClasses:
     def test_argmax(self):
-        assert pseudo_classes(probs_of([[0.7, 0.2, 0.1]])) == {0: 0}
+        assert pseudo_classes(probs_of([[0.7, 0.2, 0.1]])).tolist() == [0]
 
     def test_tie_to_lowest(self):
-        assert pseudo_classes(probs_of([[0.5, 0.5]])) == {0: 0}
+        assert pseudo_classes(probs_of([[0.5, 0.5]])).tolist() == [0]
 
     def test_covers_exactly_scored_ids(self):
-        pm = probs_of([[0.6, 0.4], [0.2, 0.8]], ids=[11, 7])
-        got = pseudo_classes(pm)
-        assert set(got) == {11, 7}
-        assert got[7] == 1
+        # one class per scored row, in row order
+        assert pseudo_classes(probs_of([[0.6, 0.4], [0.2, 0.8]])).tolist() == [0, 1]

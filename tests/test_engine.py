@@ -10,6 +10,7 @@ from alamp.engine import (
     AF_NAMES,
     BudgetPlan,
     EngineError,
+    PoolState,
     init_pool,
     run_experiment,
     run_strategies,
@@ -103,10 +104,10 @@ class TestStep:
         rows = np.zeros((len(ids), train.n_classes))
         rows[np.arange(len(ids)), prev_class] = (1 + m) / 2
         rows[np.arange(len(ids)), prev_class + 1] = (1 - m) / 2
-        prev = classifier.ProbMatrix(probs=rows, sample_ids=ids)
+        prev = classifier.ProbMatrix(probs=rows)
         state = dataclasses.replace(state, prev_margins=acquisition.margin_scores(prev),
                                     prev_pseudo=acquisition.pseudo_classes(prev))
-        curr = classifier.predict_proba(model, train.features[train.rows_for(ids)], ids)
+        curr = classifier.predict_proba(model, train.features[train.rows_for(ids)])
 
         def margin(probs):
             top2 = np.sort(probs, axis=1)[:, -2:]
@@ -124,24 +125,29 @@ class TestStep:
 
         spread = picks("alamp-div")
         curr_class = np.argmax(curr.probs, axis=1)
-        assert spread.tolist() == acquisition.diversify(
-            shift_order, ids, prev_class, PLAN.batch).tolist()
-        assert spread.tolist() != acquisition.diversify(
-            shift_order, ids, curr_class, PLAN.batch).tolist()
+        ranked = np.searchsorted(ids, shift_order)
+        assert spread.tolist() == shift_order[acquisition.diversify(
+            prev_class[ranked], PLAN.batch)].tolist()
+        assert spread.tolist() != shift_order[acquisition.diversify(
+            curr_class[ranked], PLAN.batch)].tolist()
         # one pick per previous pseudo class per pass: 30 picks, 10 per class
         taken = np.bincount(prev_class[np.searchsorted(ids, spread)], minlength=3)
         assert taken.tolist() == [10, 10, 10]
 
     def test_alamp_precondition_maintained(self, pools):
+        # the kept margins and pseudo classes are the picking model's, one
+        # per id still unlabeled, in the order of `unlabeled_ids`
         train, _ = pools
         state, model, _ = init_pool(train, PLAN, 0)
         for _ in range(3):
-            scored = state.unlabeled_ids
+            picker = model
             state, model, _ = step(state, model, "alamp", train, 0, PLAN.batch)
-            prev_ids = set(state.prev_margins.sample_ids.tolist())
-            assert set(state.unlabeled_ids.tolist()) <= prev_ids
-            assert state.prev_margins.scores.shape == (len(scored),)
-            assert state.prev_pseudo.shape == (len(scored),)
+            ids = state.unlabeled_ids
+            probs = classifier.predict_proba(picker, train.features, rows=train.rows_for(ids))
+            assert state.prev_margins.shape == state.prev_pseudo.shape == (len(ids),)
+            np.testing.assert_allclose(state.prev_margins, acquisition.margin_scores(probs),
+                                       rtol=0, atol=1e-12)
+            assert np.array_equal(state.prev_pseudo, acquisition.pseudo_classes(probs))
 
     def test_pool_exhaustion(self, pools):
         train, _ = pools
@@ -165,6 +171,64 @@ class TestStep:
         state, model, _ = init_pool(train, PLAN, 0)
         with pytest.raises(EngineError, match="batch size must be >= 1"):
             step(state, model, af, train, 0, batch)
+
+
+class TestPoolStateChecks:
+    @pytest.mark.parametrize("ids", [[1, 3, 2], [1, 2, 2]])
+    def test_unlabeled_not_strictly_ascending_rejected(self, ids):
+        with pytest.raises(EngineError, match="strictly ascending"):
+            PoolState(labeled_ids=np.array([0]), unlabeled_ids=np.array(ids), iteration=0)
+
+    @pytest.mark.parametrize("field", ["prev_margins", "prev_pseudo"])
+    def test_one_previous_array_alone_rejected(self, field):
+        with pytest.raises(EngineError, match="set together"):
+            PoolState(labeled_ids=np.array([0]), unlabeled_ids=np.array([1, 2, 3]),
+                      iteration=1, **{field: np.zeros(3)})
+
+    @pytest.mark.parametrize("field", ["prev_margins", "prev_pseudo"])
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), ()])
+    def test_previous_array_not_aligned_rejected(self, field, shape):
+        arrays = {"prev_margins": np.zeros(3), "prev_pseudo": np.zeros(3, dtype=np.int64)}
+        arrays[field] = np.zeros(shape)
+        with pytest.raises(EngineError, match=f"{field} must hold one entry"):
+            PoolState(labeled_ids=np.array([0]), unlabeled_ids=np.array([1, 2, 3]),
+                      iteration=1, **arrays)
+
+
+class TestTieRule:
+    @pytest.mark.parametrize("af", ["margin", "alamp", "marg-div"])
+    def test_tied_margins_pick_lowest_ids(self, af):
+        # every feature row appears twice, as ids i and i + 120, so twins
+        # score exactly alike; alamp's first step selects as margin, so
+        # alamp is checked on its second step
+        base = make_synthetic(4, 30, 4, 1.0, 0)
+        twins = Dataset(features=np.vstack([base.features] * 2),
+                        labels=np.tile(base.labels, 2), n_classes=4,
+                        sample_ids=np.arange(240))
+        plan = BudgetPlan(40, 4)
+        state, model, _ = init_pool(twins, plan, 0)
+        if af == "alamp":
+            state, model, _ = step(state, model, af, twins, 0, plan.batch)
+        ids = state.unlabeled_ids
+        key = acquisition.margin_scores(
+            classifier.predict_proba(model, twins.features, rows=twins.rows_for(ids)))
+        if af == "alamp":
+            key = acquisition.alamp_scores(state.prev_margins, key)
+        picks = step(state, model, af, twins, 0, plan.batch)[2].selected_ids
+
+        tied = 0
+        for pick in picks:
+            twin = (pick + 120) % 240
+            if twin not in ids:
+                continue
+            assert key[np.searchsorted(ids, pick)] == key[np.searchsorted(ids, twin)]
+            tied += 1
+            # of two tied samples, the lower id is picked, or picked first
+            if twin in picks:
+                assert (picks.index(pick) < picks.index(twin)) == (pick < twin)
+            else:
+                assert pick < twin
+        assert tied >= 2
 
 
 def count_calls(monkeypatch, module, name):
