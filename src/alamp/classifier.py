@@ -14,6 +14,10 @@ is therefore bit-identical to training that candidate on its own; `train` is
 the kernel with a grid of one, and `gradients`/`objective` remain the
 reference formula it is tested against.
 
+`fit` turns a labeled pool into a model: CV picks the regularization, then
+the whole pool is trained; the final fit and every CV fold weight their
+classes by one rule, `_weights` (cost-sensitive, or unit weights).
+
 Cross-validation trains its folds concurrently, one thread per fold: the
 folds are independent, and numpy releases the interpreter lock inside their
 products and array loops. Fold accuracies are reduced in fold order, so the
@@ -43,6 +47,7 @@ __all__ = [
     "gradients",
     "train",
     "select_reg_param",
+    "fit",
     "standardize",
     "decision_values",
     "predict_proba",
@@ -52,6 +57,7 @@ __all__ = [
 
 GD_ITERATIONS = 500
 DEFAULT_REG_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
+FALLBACK_REG = 0.1  # when too few classes can be stratified for CV
 
 
 class ClassifierError(ValueError):
@@ -98,6 +104,11 @@ def class_weights(counts) -> np.ndarray:
     n_samples = counts.sum()
     effective = np.where(counts > 0, counts, 1.0)
     return n_samples / (n_classes * effective)
+
+
+def _weights(counts, cost_sensitive: bool) -> np.ndarray:
+    """Class weights of a fit or CV fold with these per-class counts."""
+    return class_weights(counts) if cost_sensitive else np.ones(len(counts))
 
 
 def _standardizer(features: np.ndarray):
@@ -231,9 +242,7 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
                      cost_sensitive: bool = True) -> float:
     """Pick the regularization strength by stratified k-fold CV accuracy.
 
-    Each fold trains with the cost-sensitive class weights of its own
-    training part, or with unit weights when `cost_sensitive` is False, as
-    the final fit does.
+    Each fold weights its training part by `_weights`, as `fit` does.
 
     Each fold is standardized once and the whole grid is trained on it
     jointly by the descent kernel; every candidate's model is bit-identical
@@ -242,8 +251,7 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
     `np.seterrcall` apply inside them). Their accuracies are reduced in fold
     order, and a failure raises the error of the lowest failing fold, as a
     serial loop would. Ties go to the smallest candidate.
-    Folds are reduced to the minimum class count when a class is too small,
-    with a floor of 2.
+    Folds are reduced to the smallest class count when a class is too small.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -258,7 +266,7 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
     min_count = int(counts.min())
     if min_count < 2:
         raise ClassifierError("every class needs at least 2 samples for CV")
-    folds = min(folds, max(2, min_count))
+    folds = min(folds, min_count)
     # checks every fold: the training parts cover every row, each with every class
     _check_fit(features, labels, grid)
     n_classes = int(labels.max()) + 1
@@ -267,10 +275,7 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
     def fold_accuracies(f):
         tr = assignment != f
         va = ~tr
-        if cost_sensitive:
-            cw = class_weights(np.bincount(labels[tr], minlength=n_classes))
-        else:
-            cw = np.ones(n_classes)
+        cw = _weights(np.bincount(labels[tr], minlength=n_classes), cost_sensitive)
         z, targets, sample_w, mean, scale = _problem(features[tr], labels[tr], cw)
         weights, biases = _descend(z, targets, sample_w, grid)
         z_va = features[va] - mean
@@ -285,6 +290,22 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
     fold_accs = np.stack([future.result() for future in futures], axis=1)
     # argmax takes the first maximum: ties go to the smallest candidate
     return grid[int(np.argmax(fold_accs.mean(axis=1)))]
+
+
+def fit(pool, cost_sensitive: bool, seed: int) -> Model:
+    """Train from scratch on a labeled `Dataset`, with freshly CV'd regularization.
+
+    Classes with fewer than 2 samples cannot be stratified, so CV runs on the
+    remaining classes; if fewer than 2 classes qualify, FALLBACK_REG is used.
+    """
+    counts = pool.class_counts()
+    cv_ok = counts[pool.labels] >= 2
+    if np.count_nonzero(counts >= 2) >= 2:
+        reg = select_reg_param(pool.features[cv_ok], pool.labels[cv_ok], DEFAULT_REG_GRID,
+                               folds=3, seed=seed, cost_sensitive=cost_sensitive)
+    else:
+        reg = FALLBACK_REG
+    return train(pool.features, pool.labels, _weights(counts, cost_sensitive), reg)
 
 
 def standardize(model: Model, features, rows=None) -> np.ndarray:

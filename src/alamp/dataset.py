@@ -128,7 +128,11 @@ def load_dataset(path) -> Dataset:
                 parts = line.split(",")
                 if len(parts) < 2:
                     raise DatasetError(f"line {lineno}: expected `label,f1,...`, got {line!r}")
+                # int() and float() would also read `_` separators and non-ASCII digits
+                plain = "_" not in line and line.isascii()
                 try:
+                    if not (plain or "_" not in parts[0] and parts[0].isascii()):
+                        raise ValueError
                     label = int(parts[0])
                 except ValueError:
                     raise DatasetError(
@@ -136,6 +140,8 @@ def load_dataset(path) -> Dataset:
                 if label < 0:
                     raise DatasetError(f"line {lineno}: label must be non-negative")
                 try:
+                    if not plain:
+                        raise ValueError
                     values.extend(map(float, parts[1:]))
                 except ValueError:
                     raise DatasetError(f"line {lineno}: non-numeric feature value") from None
@@ -254,7 +260,7 @@ def induce_imbalance(dataset: Dataset, target_ir: float, min_per_class: int,
     """
     if min_per_class < 1:
         raise DatasetError("min_per_class must be >= 1")
-    if target_ir < 0:
+    if not target_ir >= 0:  # NaN fails every comparison
         raise DatasetError("target_ir must be non-negative")
     rng = np.random.default_rng(seed)
     avail_by_class = dataset.class_counts()

@@ -2,10 +2,10 @@
 
 A run starts from a random seed batch, then alternates selection (per the
 chosen acquisition function), simulated labeling (labels come from the
-training dataset itself), and from-scratch retraining with fresh
-cross-validated regularization. A step scores the pool only if its rule reads
-scores (random and coreset do not), and keeps that model's margins and pseudo
-classes for the next step's cross-iteration score and its diversified variant.
+training dataset itself), and from-scratch retraining by `classifier.fit`. A
+step scores the pool only if its rule reads scores (random and coreset do
+not), and keeps that model's margins and pseudo classes for the next step's
+cross-iteration score and its diversified variant.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ __all__ = [
 ]
 
 AF_NAMES = ("random", "margin", "coreset", "alamp", "alamp-div", "rand-div", "marg-div")
-
-# Fallback regularization when the labeled pool is too degenerate for CV.
-FALLBACK_REG = 0.1
 
 # With no previous model to compare with, the cross-iteration score has no
 # shift to rank by: alamp selects as margin and alamp-div as marg-div.
@@ -97,31 +94,6 @@ def _step_seed(seed: int, k: int) -> int:
     return int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
 
 
-def _fit(pool: Dataset, cost_sensitive: bool, seed: int) -> Model:
-    """Retrain from scratch on the labeled pool (fresh CV, fresh weights).
-
-    Classes with fewer than 2 labeled samples cannot be stratified, so CV is
-    run on the remaining classes; if fewer than 2 classes qualify, a fixed
-    fallback regularization is used.
-    """
-    counts = pool.class_counts()
-    if cost_sensitive:
-        weights = classifier.class_weights(counts)
-    else:
-        weights = np.ones(pool.n_classes)
-
-    cv_ok = counts[pool.labels] >= 2
-    cv_labels = pool.labels[cv_ok]
-    if len(np.unique(cv_labels)) >= 2:
-        reg = classifier.select_reg_param(pool.features[cv_ok], cv_labels,
-                                          classifier.DEFAULT_REG_GRID,
-                                          folds=3, seed=seed,
-                                          cost_sensitive=cost_sensitive)
-    else:
-        reg = FALLBACK_REG
-    return classifier.train(pool.features, pool.labels, weights, reg)
-
-
 def _record(k: int, pool: Dataset, selected: np.ndarray) -> IterationRecord:
     """Record of iteration k whose labeled pool is `pool`; the caller, which
     owns the test set, fills in accuracy."""
@@ -150,7 +122,7 @@ def init_pool(train: Dataset, plan: BudgetPlan, seed: int,
     else:
         raise EngineError("initial batch covered fewer than 2 classes in 10 draws")
     unlabeled = np.setdiff1d(train.sample_ids, labeled)
-    model = _fit(pool, cost_sensitive, _step_seed(seed, 0))
+    model = classifier.fit(pool, cost_sensitive, _step_seed(seed, 0))
     state = PoolState(labeled_ids=labeled, unlabeled_ids=unlabeled, iteration=0)
     return state, model, _record(0, pool, labeled)
 
@@ -224,7 +196,7 @@ def step(state: PoolState, model: Model, af: str, train: Dataset, seed: int,
     new_state = PoolState(labeled_ids=new_labeled, unlabeled_ids=state.unlabeled_ids[keep],
                           iteration=k, prev_margins=margins, prev_pseudo=pseudo)
     pool = train.subset(new_labeled)
-    return new_state, _fit(pool, cost_sensitive, step_seed), _record(k, pool, selected)
+    return new_state, classifier.fit(pool, cost_sensitive, step_seed), _record(k, pool, selected)
 
 
 def run_strategies(train: Dataset, test: Dataset, afs, plan: BudgetPlan,
@@ -237,7 +209,7 @@ def run_strategies(train: Dataset, test: Dataset, afs, plan: BudgetPlan,
     that shared start. So is the first step of each selection rule: with no
     previous model, strategies that `FIRST_STEP_RULE` maps to the same rule
     select the same batch and fit the same model, so that step is computed
-    once and kept only while a later strategy in `afs` can still use it.
+    once and kept for any later strategy in `afs` that uses the same rule.
     Each report is byte-identical to a run on its own.
     """
     afs = list(afs)
@@ -252,19 +224,19 @@ def run_strategies(train: Dataset, test: Dataset, afs, plan: BudgetPlan,
         return state, model, dataclasses.replace(record, accuracy=classifier.accuracy(model, test))
 
     state0, model0, record0 = tested(init_pool(train, plan, seed, cost_sensitive))
-    rules = [FIRST_STEP_RULE.get(af, af) for af in afs]
-    first_steps = {}  # rule -> its first step, while a later strategy needs it
+    first_steps = {}  # selection rule -> its first step
     reports = []
-    for i, (af, rule) in enumerate(zip(afs, rules)):
+    for af in afs:
+        rule = FIRST_STEP_RULE.get(af, af)
         state, model, records = state0, model0, [record0]
         for k in range(1, plan.iterations):
             if k == 1 and rule in first_steps:
-                result = first_steps.pop(rule)
+                result = first_steps[rule]
             else:
                 result = tested(step(state, model, af, train, seed, plan.batch,
                                      cost_sensitive))
-            if k == 1 and rule in rules[i + 1:]:
-                first_steps[rule] = result
+                if k == 1:
+                    first_steps[rule] = result
             state, model, record = result
             records.append(record)
         meta = RunMeta(af=af, seed=seed, total_budget=plan.total_budget,

@@ -14,6 +14,7 @@ from alamp.classifier import (
     _stratified_folds,
     class_weights,
     decision_values,
+    fit,
     gradients,
     objective,
     predict,
@@ -23,7 +24,7 @@ from alamp.classifier import (
     train,
     accuracy,
 )
-from alamp.dataset import make_synthetic
+from alamp.dataset import Dataset, make_synthetic
 
 
 class TestClassWeights:
@@ -154,6 +155,47 @@ class TestSelectRegParam:
         x = np.random.default_rng(0).normal(size=(3, 2))
         with pytest.raises(ClassifierError):
             select_reg_param(x, np.array([0, 0, 1]), [0.1])
+
+
+def labeled_pool(labels):
+    features = np.random.default_rng(0).normal(size=(len(labels), 2))
+    return Dataset(features=features, labels=labels, n_classes=max(labels) + 1,
+                   sample_ids=np.arange(len(labels)))
+
+
+class TestFit:
+    @pytest.fixture
+    def cv_calls(self, monkeypatch):
+        calls, select = [], classifier.select_reg_param
+
+        def recording_select(*args, **kwargs):
+            calls.append((args, kwargs))
+            return select(*args, **kwargs)
+
+        monkeypatch.setattr(classifier, "select_reg_param", recording_select)
+        return calls
+
+    def test_no_two_stratifiable_classes_falls_back(self, cv_calls):
+        # only class 2 has the 2 samples a stratified fold needs
+        model = fit(labeled_pool([0, 1, 2, 2]), True, 3)
+        assert cv_calls == []
+        assert model.reg_param == 0.1
+        assert model.n_classes == 3
+
+    def test_cv_skips_classes_below_two_samples(self, cv_calls):
+        pool = labeled_pool([0, 0, 1, 1, 2])
+        model = fit(pool, True, 7)
+        [(args, kwargs)] = cv_calls
+        assert np.array_equal(args[0], pool.features[:4])
+        assert args[1].tolist() == [0, 0, 1, 1]
+        assert kwargs["seed"] == 7
+        # the final model covers every class of the pool, its singleton included
+        assert model.n_classes == 3
+        chosen = select_reg_param(*args, **kwargs)
+        assert model.reg_param == chosen
+        expected = train(pool.features, pool.labels, class_weights([2, 2, 1]), chosen)
+        assert np.array_equal(model.weights, expected.weights)
+        assert np.array_equal(model.biases, expected.biases)
 
 
 def lowrank_relu(n_classes, per_class, dim, rank, seed):

@@ -108,6 +108,17 @@ class TestImbalance:
         assert capsys.readouterr().err == library_error(
             DatasetError, induce_imbalance, load_dataset(src), 0.9, 10, 0)
 
+    @pytest.mark.parametrize("target", ["nan", "-0.5"])
+    def test_target_not_non_negative_exit_2(self, tmp_path, capsys, target):
+        src = tmp_path / "balanced.csv"
+        write_dataset(make_synthetic(5, 10, 2, 0.5, 0), src)
+        out = tmp_path / "x.csv"
+        rc = main(["imbalance", "--input", str(src), "--target-ir", target,
+                   "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: target_ir must be non-negative\n"
+        assert not out.exists()
+
     def test_undecodable_byte_exit_2(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"
         src.write_bytes(b"0,1.0,\xff\n")

@@ -127,6 +127,22 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="line 1"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("0,1_000,2", "non-numeric feature value"),
+        ("1,\u0661,3", "non-numeric feature value"),
+        ("1,2.0,\u00a03", "non-numeric feature value"),
+        ("\u0661,1,2", "label '\u0661' is not an integer"),
+        ("1_0,1,2", "label '1_0' is not an integer"),
+    ])
+    def test_only_ascii_numbers_without_separators(self, tmp_path, row, message):
+        # int() and float() would read these as 1000, 1, 3, 1 and 10
+        path = write_lines(tmp_path, ["0,1.0,2.0", row, "x,1.0,2.0"])
+        with pytest.raises(DatasetError, match=f"^line 2: {message}$"):
+            load_dataset(path)
+        path = write_lines(tmp_path, ["0,1.0,2.0", "1,nan,2.0", row])
+        with pytest.raises(DatasetError, match="^line 2: non-finite"):
+            load_dataset(path)
+
     def test_roundtrip_bit_exact(self, tmp_path):
         d = make_synthetic(3, 4, 5, 0.3, 11)
         path = tmp_path / "rt.csv"
@@ -222,6 +238,11 @@ class TestInduceImbalance:
         for target in (0.2, 0.4, 0.6):
             out = induce_imbalance(balanced, target, 1, 1)
             assert imbalance_ratio(out.class_counts()) == pytest.approx(target, abs=0.02)
+
+    @pytest.mark.parametrize("target", [float("nan"), -0.1, float("-inf")])
+    def test_target_not_non_negative_rejected(self, balanced, target):
+        with pytest.raises(DatasetError, match="^target_ir must be non-negative$"):
+            induce_imbalance(balanced, target, 1, 0)
 
     def test_unattainable_target(self, balanced):
         # min_per_class equal to the class size forbids any skew

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from alamp import acquisition, classifier, engine
+from alamp import acquisition, classifier
 from alamp.dataset import Dataset, induce_imbalance, make_synthetic, train_test_split
 from alamp.engine import (
     AF_NAMES,
@@ -345,7 +345,7 @@ class TestSharedFirstSteps:
         # marg-div, so 1 initial fit + 7 strategies x 2 steps - 2 shared = 13
         train, test = pools
         plan = BudgetPlan(90, 3)
-        calls = count_calls(monkeypatch, engine, "_fit")
+        calls = count_calls(monkeypatch, classifier, "fit")
         reports = run_strategies(train, test, AF_NAMES, plan, 5)
         assert len(calls) == 13
         monkeypatch.undo()
@@ -394,7 +394,7 @@ class TestCostSensitivity:
             return chosen[-1]
 
         monkeypatch.setattr(classifier, "select_reg_param", recording_select)
-        model = engine._fit(pool, False, 11)
+        model = classifier.fit(pool, False, 11)
         weighted = select(pool.features, labels, seed=11)
         assert chosen == [oracle()] == [model.reg_param]
         assert weighted != chosen[0]  # the fixture tells the two weightings apart
