@@ -5,6 +5,14 @@ cost-weighted squared-hinge loss plus L2 penalty. Zero initialization and a
 fixed iteration budget make training bit-reproducible: the same inputs always
 yield the same model, regardless of seed or thread count.
 
+Each descent takes 500 steps of size min(0.1 / (1 + reg), 1.5 / L), where
+L = 2 λmax(Z'ᵀ diag(w) Z' / n) + 2 reg bounds the objective's curvature (Z'
+is the standardized features with a bias column, w the per-sample weights).
+So no step diverges, on ReLU embeddings too, and where the fixed step
+0.1 / (1 + reg) was already stable it is kept bit for bit. λmax is one
+`eigvalsh` per descent, of an n x n or a (d+1) x (d+1) form, the smaller;
+it is skipped when a Cholesky factor shows that the bound cannot bind.
+
 One descent kernel trains a whole regularization grid jointly, the candidates
 stacked on a leading axis of the parameters. Its margins are one sample-major
 (n, G, C) buffer, so the elementwise passes run over contiguous rows of all G
@@ -12,7 +20,14 @@ candidates' C classes, and each candidate's matrix products reach the buffer
 through transposed views with the shapes a lone fit has. Every model it yields
 is therefore bit-identical to training that candidate on its own; `train` is
 the kernel with a grid of one, and `gradients`/`objective` remain the
-reference formula it is tested against.
+reference formula it is tested against. With fewer rows than dims, descent
+from zero never leaves the rows' span, so the kernel descends on n
+coefficients per class through the n x n Gram matrix instead of on d weights,
+and forms the weights once at the end; the two forms agree in exact
+arithmetic, not bit for bit.
+
+A model that is not finite is never used: CV does not select such a
+candidate, and `train` raises `ClassifierError` for one.
 
 `fit` turns a labeled pool into a model: CV picks the regularization, then
 the whole pool is trained; the final fit and every CV fold weight their
@@ -136,50 +151,114 @@ def gradients(weights, biases, z, targets, sample_w, reg_param):
     return grad_w, grad_b
 
 
-def _check_fit(features, labels, regs) -> None:
+def _check_fit(features, labels, regs, n_classes) -> None:
     if not all(reg > 0 for reg in regs):
         raise ClassifierError("reg_param must be positive")
     if not np.all(np.isfinite(features)):
         raise ClassifierError("non-finite features")
     if len(np.unique(labels)) < 2:
         raise ClassifierError("need at least 2 distinct labels to train")
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ClassifierError(f"labels must lie in [0, {n_classes})")
+
+
+def _curvature_form(z, sample_w) -> np.ndarray:
+    """Z'ᵀ diag(w) Z' / n, Z' being `z` with a bias column, or the n x n form
+    with the same nonzero eigenvalues, whichever is smaller.
+
+    With S = diag(√w) Z', the forms are S Sᵀ / n (the Gram form, used when
+    n <= d) and Sᵀ S / n. The tall product Sᵀ S is an einsum, not a BLAS
+    call: OpenBLAS threads it even at d = 64, and its idle workers then spin
+    for about 0.1 s, taking a core from the CV folds.
+    """
+    n, dim = z.shape
+    scaled = np.hstack([z, np.ones((n, 1))])
+    scaled *= np.sqrt(sample_w)[:, None]
+    form = scaled @ scaled.T if n <= dim else np.einsum("ki,kj->ij", scaled, scaled)
+    form /= n
+    return form
+
+
+def _step_sizes(z, sample_w, regs) -> np.ndarray:
+    """Step of each candidate: min(0.1 / (1 + reg), 1.5 / L).
+
+    L = 2 λmax + 2 reg bounds the curvature of the objective, λmax being the
+    largest eigenvalue of `_curvature_form`, taken with one `eigvalsh`. A
+    step below 2 / L cannot diverge; 1.5 / L leaves the fixed step
+    0.1 / (1 + reg) in place wherever it was already stable.
+
+    1.5 / L is the smaller exactly when λmax > 7.5 + 6.5 reg. A Cholesky
+    factor of t I - form, t just under that threshold at the smallest reg,
+    proves λmax < t, so every candidate keeps the fixed step and `eigvalsh`
+    (which, like the tall product, wakes OpenBLAS's workers above 64 x 64)
+    is skipped.
+    """
+    regs = np.asarray(regs, dtype=np.float64)
+    fixed = 0.1 / (1.0 + regs)
+    form = _curvature_form(z, sample_w)
+    below = (7.5 + 6.5 * regs.min()) * (1.0 - 1e-6)
+    try:
+        np.linalg.cholesky(below * np.eye(len(form)) - form)
+    except np.linalg.LinAlgError:
+        curvature = 2.0 * float(np.linalg.eigvalsh(form)[-1]) + 2.0 * regs
+        return np.minimum(fixed, 1.5 / curvature)
+    return fixed
 
 
 def _descend(z, targets, sample_w, regs):
     """GD_ITERATIONS full-batch steps from zero for every reg in `regs` at once.
 
-    Candidates sit on a leading axis of the parameters: weights (G, C, d),
-    biases (G, C). The margins are sample-major, one (n, G, C) buffer, so the
-    bias add, the elementwise passes and the bias-gradient sum over n run
-    over contiguous rows of G*C values. Each step does what `gradients` and
-    the update in `train` spell out, in the same order of floating-point
-    operations, and the two matmuls reach the buffer through transposed views:
-    one GEMM per candidate of the shape a lone fit uses, only with a wider
-    leading dimension, so each candidate's result is bit-identical to
-    descending on it alone.
+    Each candidate takes the step `_step_sizes` gives it. Candidates sit on a
+    leading axis of the biases (G, C). The margins are sample-major, one
+    (n, G, C) buffer, so the bias add, the elementwise passes and the
+    bias-gradient sum over n run over contiguous rows of G*C values.
+
+    With at least as many rows as dims, the descent runs on the weights
+    (G, C, d), as `gradients` and the update in `train` spell out, in the
+    same order of floating-point operations. Its two matmuls reach the
+    buffer through transposed views: one GEMM per candidate of the shape a
+    lone fit uses, only with a wider leading dimension, so each candidate's
+    result is bit-identical to descending on it alone.
+
+    With fewer rows than dims, it runs in the rows' span instead: descent
+    from zero keeps W = Aᵀ Z, so it descends on the coefficients A, stored
+    sample-major (n, G, C) like the margins. A step computes the margins
+    K A + b from the Gram matrix K = Z Zᵀ and updates A -= lr (M + 2 reg A),
+    M being the gradient w.r.t. the margins: no d-wide product and no
+    gradient GEMM. The weights are formed once, at the end. In exact
+    arithmetic both forms take the same steps.
     """
     regs = np.asarray(regs, dtype=np.float64)
-    lr_b = (0.1 / (1.0 + regs))[:, None]
-    lr_w = lr_b[:, :, None]
-    two_reg = (2.0 * regs)[:, None, None]
     n, dim = z.shape
     n_regs, n_classes = len(regs), targets.shape[1]
+    row_space = n < dim
+    lr = _step_sizes(z, sample_w, regs)
     shape = (n, n_regs, n_classes)
     tiled_targets = np.broadcast_to(targets[:, None, :], shape).copy()
     weighted_targets = np.broadcast_to((sample_w[:, None] * targets)[:, None, :], shape).copy()
     scale = -2.0 / n
 
-    weights = np.zeros((n_regs, n_classes, dim))
-    biases = np.zeros((n_regs, n_classes))
     margins = np.empty(shape)
-    grad_w = np.empty_like(weights)
-    penalty = np.empty_like(weights)
+    biases = np.zeros((n_regs, n_classes))
     grad_b = np.empty_like(biases)
-    weights_t = weights.transpose(0, 2, 1)      # (G, d, C)
+    lr_b = lr[:, None]
     margins_out = margins.transpose(1, 0, 2)    # (G, n, C)
-    margins_t = margins.transpose(1, 2, 0)      # (G, C, n)
+    if row_space:
+        basis = z @ z.T
+        params = np.zeros(shape)                # A, sample-major
+        params_t = params.transpose(1, 0, 2)    # (G, n, C)
+        lr_p, two_reg = lr_b, (2.0 * regs)[:, None]
+        grad = margins                          # the margin gradient is A's, penalty aside
+    else:
+        basis = z
+        params = np.zeros((n_regs, n_classes, dim))
+        params_t = params.transpose(0, 2, 1)    # (G, d, C)
+        lr_p, two_reg = lr_b[:, :, None], (2.0 * regs)[:, None, None]
+        grad = np.empty_like(params)
+        margins_t = margins.transpose(1, 2, 0)  # (G, C, n)
+    penalty = np.empty_like(params)
     for _ in range(GD_ITERATIONS):
-        np.matmul(z, weights_t, out=margins_out)
+        np.matmul(basis, params_t, out=margins_out)
         margins += biases
         # margins becomes the gradient w.r.t. the margins, in place
         np.multiply(tiled_targets, margins, out=margins)
@@ -187,14 +266,16 @@ def _descend(z, targets, sample_w, regs):
         np.maximum(0.0, margins, out=margins)
         margins *= weighted_targets
         margins *= scale
-        np.matmul(margins_t, z, out=grad_w)
-        np.multiply(two_reg, weights, out=penalty)
-        grad_w += penalty
         margins.sum(axis=0, out=grad_b)
-        grad_w *= lr_w
-        weights -= grad_w
+        if not row_space:
+            np.matmul(margins_t, z, out=grad)
+        np.multiply(two_reg, params, out=penalty)
+        grad += penalty
+        grad *= lr_p
+        params -= grad
         grad_b *= lr_b
         biases -= grad_b
+    weights = np.matmul(params.transpose(1, 2, 0), z) if row_space else params
     return weights, biases
 
 
@@ -211,17 +292,24 @@ def _problem(features, labels, cw):
 def train(features, labels, class_weights_vec, reg_param: float) -> Model:
     """Fit one-vs-rest linear models by full-batch gradient descent.
 
-    Deterministic: zero-initialized, fixed learning rate 0.1 / (1 + reg_param),
-    500 iterations. Runs the grid kernel that `select_reg_param` uses with a
-    grid of one, so a lone fit and a jointly trained candidate agree bit for
-    bit.
+    Deterministic: zero-initialized, 500 iterations at the step
+    min(0.1 / (1 + reg_param), 1.5 / L), L bounding the objective's
+    curvature (see `_step_sizes`). With fewer labeled rows than dims the
+    descent runs in the rows' span (see `_descend`). Runs the grid kernel
+    that `select_reg_param` uses with a grid of one, so a lone fit and a
+    jointly trained candidate agree bit for bit.
+
+    Labels must lie in [0, len(class_weights_vec)). Raises ClassifierError
+    if the trained model is not finite.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     cw = np.asarray(class_weights_vec, dtype=np.float64)
-    _check_fit(features, labels, (reg_param,))
+    _check_fit(features, labels, (reg_param,), len(cw))
     z, targets, sample_w, mean, scale = _problem(features, labels, cw)
     weights, biases = _descend(z, targets, sample_w, (reg_param,))
+    if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(biases))):
+        raise ClassifierError(f"training diverged at reg_param {reg_param}")
     return Model(weights=weights[0], biases=biases[0], reg_param=float(reg_param),
                  feature_mean=mean, feature_scale=scale)
 
@@ -250,7 +338,9 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
     each, in copies of the caller's context (so `np.errstate` and
     `np.seterrcall` apply inside them). Their accuracies are reduced in fold
     order, and a failure raises the error of the lowest failing fold, as a
-    serial loop would. Ties go to the smallest candidate.
+    serial loop would. A candidate whose model is not finite in some fold
+    cannot be selected, and if none is left, ClassifierError is raised. Ties
+    go to the smallest candidate.
     Folds are reduced to the smallest class count when a class is too small.
     """
     features = np.asarray(features, dtype=np.float64)
@@ -260,16 +350,14 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
         raise ClassifierError("empty candidate grid")
     if folds < 2:
         raise ClassifierError("folds must be >= 2")
-    present, counts = np.unique(labels, return_counts=True)
-    if len(present) < 2:
-        raise ClassifierError("need at least 2 classes for cross-validation")
+    n_classes = int(labels.max(initial=0)) + 1
+    # checks every fold: the training parts cover every row, each with every class
+    _check_fit(features, labels, grid, n_classes)
+    counts = np.unique(labels, return_counts=True)[1]
     min_count = int(counts.min())
     if min_count < 2:
         raise ClassifierError("every class needs at least 2 samples for CV")
     folds = min(folds, min_count)
-    # checks every fold: the training parts cover every row, each with every class
-    _check_fit(features, labels, grid)
-    n_classes = int(labels.max()) + 1
     assignment = _stratified_folds(labels, folds, seed)
 
     def fold_accuracies(f):
@@ -280,16 +368,21 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
         weights, biases = _descend(z, targets, sample_w, grid)
         z_va = features[va] - mean
         z_va /= scale
+        finite = np.isfinite(weights).all(axis=(1, 2)) & np.isfinite(biases).all(axis=1)
         preds = np.argmax(z_va @ weights.transpose(0, 2, 1) + biases[:, None, :], axis=2)
-        return np.mean(preds == labels[va], axis=1)
+        return np.where(finite, np.mean(preds == labels[va], axis=1), np.nan)
 
     with ThreadPoolExecutor(max_workers=folds) as executor:
         futures = [executor.submit(contextvars.copy_context().run, fold_accuracies, f)
                    for f in range(folds)]
     # result() re-raises a fold's error: read in fold order, the lowest wins
     fold_accs = np.stack([future.result() for future in futures], axis=1)
+    # a candidate that is not finite in some fold has a NaN mean: never selected
+    mean_accs = np.nan_to_num(fold_accs.mean(axis=1), nan=-1.0)
+    if mean_accs.max() < 0:
+        raise ClassifierError("every candidate regularization diverged")
     # argmax takes the first maximum: ties go to the smallest candidate
-    return grid[int(np.argmax(fold_accs.mean(axis=1)))]
+    return grid[int(np.argmax(mean_accs))]
 
 
 def fit(pool, cost_sensitive: bool, seed: int) -> Model:

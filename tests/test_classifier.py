@@ -10,7 +10,9 @@ from alamp.classifier import (
     GD_ITERATIONS,
     ClassifierError,
     _descend,
+    _curvature_form,
     _problem,
+    _step_sizes,
     _stratified_folds,
     class_weights,
     decision_values,
@@ -24,7 +26,7 @@ from alamp.classifier import (
     train,
     accuracy,
 )
-from alamp.dataset import Dataset, make_synthetic
+from alamp.dataset import Dataset, make_synthetic, train_test_split
 
 
 class TestClassWeights:
@@ -77,6 +79,25 @@ class TestTrain:
         x = np.array([[np.inf, 0.0], [0.0, 1.0]])
         with pytest.raises(ClassifierError):
             train(x, np.array([0, 1]), [1.0, 1.0], 0.1)
+
+    # a label the class-weight vector has no entry for: one below 0 used to
+    # train as the last class, one at or above its length to index past it
+    @pytest.mark.parametrize("labels", [[-1, 0, 1, 2], [0, 1, 2, 3], [0, 1, 2, 7]])
+    def test_label_outside_class_weights_rejected(self, labels):
+        x = np.random.default_rng(0).normal(size=(len(labels), 2))
+        with pytest.raises(ClassifierError, match=r"labels must lie in \[0, 3\)"):
+            train(x, np.array(labels), np.ones(3), 0.1)
+
+    def test_relu_embeddings_train_finite(self):
+        # the fixed step 0.1 / (1 + reg) diverged here at reg 1e-3, 1e-2 and
+        # 0.1, and its best finite fit (reg 10) was 0.755 accurate on its rows
+        features, labels = lowrank_relu(10, 100, 512, 8, 0)
+        cw = class_weights(np.bincount(labels))
+        with np.errstate(all="raise"):
+            reg = select_reg_param(features, labels)
+            model = train(features, labels, cw, reg)
+        assert np.all(np.isfinite(model.weights)) and np.all(np.isfinite(model.biases))
+        assert np.mean(predict(model, features) == labels) > 0.755
 
 
 class TestGradient:
@@ -156,6 +177,32 @@ class TestSelectRegParam:
         with pytest.raises(ClassifierError):
             select_reg_param(x, np.array([0, 0, 1]), [0.1])
 
+    @pytest.mark.parametrize("labels", [[-1, -1, 0, 0, 1, 1], [-1, 0, 0, 1, 1]])
+    def test_negative_label_rejected(self, labels):
+        x = np.random.default_rng(0).normal(size=(len(labels), 2))
+        with pytest.raises(ClassifierError, match="labels must lie in"):
+            select_reg_param(x, np.array(labels), [0.1])
+
+    def test_non_finite_candidate_not_selectable(self, monkeypatch):
+        d = make_synthetic(4, 12, 3, 0.5, 3)
+        grid = [1e-3, 1e-2, 1e-1, 1.0]
+        chosen = select_reg_param(d.features, d.labels, grid)
+        runner_up = select_reg_param(d.features, d.labels, [r for r in grid if r != chosen])
+        descend = classifier._descend
+
+        def nan_weights_at(bad):
+            def patched(z, targets, sample_w, regs):
+                weights, biases = descend(z, targets, sample_w, regs)
+                weights[np.isin(regs, bad)] = np.nan
+                return weights, biases
+            return patched
+
+        monkeypatch.setattr(classifier, "_descend", nan_weights_at([chosen]))
+        assert select_reg_param(d.features, d.labels, grid) == runner_up
+        monkeypatch.setattr(classifier, "_descend", nan_weights_at(grid))
+        with pytest.raises(ClassifierError, match="every candidate"):
+            select_reg_param(d.features, d.labels, grid)
+
 
 def labeled_pool(labels):
     features = np.random.default_rng(0).normal(size=(len(labels), 2))
@@ -197,6 +244,20 @@ class TestFit:
         assert np.array_equal(model.weights, expected.weights)
         assert np.array_equal(model.biases, expected.biases)
 
+    def test_non_finite_final_model_raises(self, monkeypatch, cv_calls):
+        descend = classifier._descend
+
+        def final_fit_diverges(z, targets, sample_w, regs):
+            weights, biases = descend(z, targets, sample_w, regs)
+            if len(regs) == 1:  # the final fit; CV trains the whole grid
+                biases[:] = np.nan
+            return weights, biases
+
+        monkeypatch.setattr(classifier, "_descend", final_fit_diverges)
+        with pytest.raises(ClassifierError, match="diverged"):
+            fit(labeled_pool([0, 0, 1, 1, 2, 2]), True, 0)
+        assert len(cv_calls) == 1
+
 
 def lowrank_relu(n_classes, per_class, dim, rank, seed):
     """Embedding-like features: ReLU of a random map of a rank-`rank` latent."""
@@ -218,10 +279,11 @@ def skewed_blobs(n_classes, per_class, dim, seed):
 
 
 def reference_descent(z, targets, sample_w, reg):
-    """One candidate by the reference formula: GD_ITERATIONS `gradients` steps."""
+    """One candidate by the reference formula: GD_ITERATIONS `gradients` steps
+    in the weights, at the step the kernel takes."""
     weights = np.zeros((targets.shape[1], z.shape[1]))
     biases = np.zeros(targets.shape[1])
-    lr = 0.1 / (1.0 + reg)
+    [lr] = _step_sizes(z, sample_w, (reg,))
     for _ in range(GD_ITERATIONS):
         grad_w, grad_b = gradients(weights, biases, z, targets, sample_w, reg)
         weights -= lr * grad_w
@@ -254,8 +316,14 @@ def descent_problem(features, labels):
     return _problem(np.asarray(features, dtype=np.float64), labels, cw)[:3]
 
 
+def assert_close(got, want, rtol):
+    """Equal within rtol of the largest entry of `want`."""
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
 class TestGridDescent:
-    """The joint grid descent equals separate reference descents bit for bit."""
+    """The joint grid descent equals separate reference descents: bit for bit
+    with at least as many rows as dims, within rounding in the rows' span."""
 
     @pytest.mark.parametrize("per_class", [24, 48])  # n = 311 and n = 631
     def test_grid_matches_reference_per_reg(self, per_class):
@@ -269,9 +337,11 @@ class TestGridDescent:
             assert weights[g].tobytes() == ref_w.tobytes()
             assert biases[g].tobytes() == ref_b.tobytes()
 
-    # an odd grid with fewer samples than classes, and a grid of one at n=2
+    # an odd grid with fewer samples than classes, below 7 dims (row space)
+    # and above, and a grid of one at n=2
     @pytest.mark.parametrize("n, n_classes, regs", [(5, 8, (1e-2, 1.0, 10.0)),
-                                                    (2, 3, (0.1,))])
+                                                    (2, 3, (0.1,)),
+                                                    (9, 10, (1e-2, 1.0, 10.0))])
     def test_small_shapes_match_reference_per_reg(self, n, n_classes, regs):
         rng = np.random.default_rng(n)
         features = rng.normal(size=(n, 7))
@@ -282,8 +352,12 @@ class TestGridDescent:
         assert weights.shape == (len(regs), n_classes, 7)
         for g, reg in enumerate(regs):
             ref_w, ref_b = reference_descent(z, targets, sample_w, reg)
-            assert weights[g].tobytes() == ref_w.tobytes()
-            assert biases[g].tobytes() == ref_b.tobytes()
+            if n < 7:  # the same steps in the rows' span, rounded differently
+                assert_close(weights[g], ref_w, 1e-9)
+                assert_close(biases[g], ref_b, 1e-9)
+            else:
+                assert weights[g].tobytes() == ref_w.tobytes()
+                assert biases[g].tobytes() == ref_b.tobytes()
 
     def test_train_is_the_one_candidate_grid(self):
         features, labels = skewed_blobs(5, 20, 8, 2)
@@ -295,6 +369,8 @@ class TestGridDescent:
         assert model.biases.tobytes() == ref_b.tobytes()
 
     def test_diverging_candidates_leave_finite_neighbours_exact(self):
+        # at the fixed step 0.1 / (1 + reg) the three smallest regularizations
+        # diverged here; the curvature bound keeps all five finite and exact
         features, labels = lowrank_relu(10, 100, 512, 8, 0)
         z, targets, sample_w = descent_problem(features, labels)
         with np.errstate(all="ignore"):
@@ -308,8 +384,66 @@ class TestGridDescent:
                 if ok:
                     assert weights[g].tobytes() == ref_w.tobytes()
                     assert biases[g].tobytes() == ref_b.tobytes()
-        # the fixture is one where the small regularizations diverge
-        assert finite == [False, False, False, True, True]
+        assert finite == [True] * 5
+
+    # n = 6, 27 and 60 rows in 512 dims, where the kernel runs in the rows' span
+    @pytest.mark.parametrize("n_classes, per_class", [(3, 2), (9, 3), (10, 6)])
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_row_space_matches_primal_descent(self, relu, n_classes, per_class):
+        if relu:
+            features, labels = lowrank_relu(n_classes, per_class, 512, 8, 1)
+        else:
+            d = make_synthetic(n_classes, per_class, 512, 1.6, 1)
+            features, labels = d.features, d.labels
+        z, targets, sample_w = descent_problem(features, labels)
+        weights, biases = _descend(z, targets, sample_w, DEFAULT_REG_GRID)
+        for g, reg in enumerate(DEFAULT_REG_GRID):
+            # the reference steps in the weights, as the primal kernel does
+            ref_w, ref_b = reference_descent(z, targets, sample_w, reg)
+            assert_close(weights[g], ref_w, 1e-9)
+            assert_close(biases[g], ref_b, 1e-9)
+
+    # in 64 dims: the n x n Gram form below and at 64 rows, (d+1)^2 above
+    @pytest.mark.parametrize("n", [6, 60, 64, 200])
+    def test_curvature_forms_agree(self, n):
+        rng = np.random.default_rng(n)
+        z = np.maximum(rng.normal(size=(n, 8)) @ rng.normal(size=(8, 64)), 0.0)
+        sample_w = rng.uniform(0.5, 2.0, size=n)
+        form = _curvature_form(z, sample_w)
+        assert form.shape == ((n, n) if n <= 64 else (65, 65))
+        scaled = np.hstack([z, np.ones((n, 1))]) * np.sqrt(sample_w)[:, None]
+        by_dims = np.linalg.eigvalsh(scaled.T @ scaled / n)[-1]
+        by_rows = np.linalg.eigvalsh(scaled @ scaled.T / n)[-1]
+        assert np.linalg.eigvalsh(form)[-1] == pytest.approx(by_dims, rel=1e-12)
+        assert np.linalg.eigvalsh(form)[-1] == pytest.approx(by_rows, rel=1e-12)
+
+    # the scale puts λmax below every threshold 7.5 + 6.5 reg at which the
+    # bound binds, between them, and above all of them
+    @pytest.mark.parametrize("scale, capped", [(1.0, 0), (2.0, 3), (4.0, 4), (10.0, 5)])
+    def test_step_sizes_follow_the_rule(self, scale, capped):
+        rng = np.random.default_rng(0)
+        z = scale * rng.normal(size=(200, 64))
+        sample_w = rng.uniform(0.5, 2.0, size=200)
+        grid = np.array(DEFAULT_REG_GRID)
+        fixed = 0.1 / (1.0 + grid)
+        lam = np.linalg.eigvalsh(_curvature_form(z, sample_w))[-1]
+        lr = _step_sizes(z, sample_w, grid)
+        assert np.array_equal(lr, np.minimum(fixed, 1.5 / (2.0 * lam + 2.0 * grid)))
+        assert np.count_nonzero(lr < fixed) == capped
+
+    @pytest.mark.parametrize("seed", [0, 1, 1000])
+    def test_step_rule_keeps_fixed_step_on_desk_subsets(self, seed):
+        # criterion 7's data: the curvature bound never binds, so desk-scale
+        # fits take the fixed step 0.1 / (1 + reg) bit for bit
+        train_pool = train_test_split(make_synthetic(20, 250, 64, 1.6, seed), 0.2, seed + 1)[0]
+        rng = np.random.default_rng(seed)
+        grid = np.array(DEFAULT_REG_GRID)
+        for n in (45, 100, 200, 400, 600):
+            rows = rng.choice(train_pool.n_samples, n, replace=False)
+            labels = train_pool.labels[rows]
+            cw = class_weights(np.bincount(labels, minlength=20))
+            z, _, sample_w = _problem(train_pool.features[rows], labels, cw)[:3]
+            assert np.array_equal(_step_sizes(z, sample_w, grid), 0.1 / (1.0 + grid))
 
     @pytest.mark.parametrize("folds", [2, 3])
     @pytest.mark.parametrize("per_class", [9, 36])
@@ -326,11 +460,22 @@ class TestGridDescent:
             got = select_reg_param(features, labels)
             assert got == per_reg_select_reg_param(features, labels, DEFAULT_REG_GRID)
 
-    def test_caller_errstate_reaches_every_fold(self):
+    def test_caller_errstate_reaches_every_fold(self, monkeypatch):
         # the folds train on worker threads; np.errstate is per context
-        features, labels = lowrank_relu(10, 100, 512, 8, 0)
+        descend = classifier._descend
+
+        def dividing_descend(*args):
+            np.ones(1) / np.zeros(1)  # a division by zero in every fold
+            return descend(*args)
+
+        monkeypatch.setattr(classifier, "_descend", dividing_descend)
+        features, labels = lowrank_relu(10, 12, 512, 8, 0)
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
             select_reg_param(features, labels)
+        divisions = []
+        with np.errstate(divide="call", call=lambda kind, flag: divisions.append(kind)):
+            select_reg_param(features, labels)
+        assert divisions == ["divide by zero"] * 3
 
     def test_folds_train_at_once(self, monkeypatch):
         features, labels = lowrank_relu(10, 12, 512, 8, 0)
