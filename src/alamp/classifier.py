@@ -10,8 +10,8 @@ L = 2 λmax(Z'ᵀ diag(w) Z' / n) + 2 reg bounds the objective's curvature (Z'
 is the standardized features with a bias column, w the per-sample weights).
 So no step diverges, on ReLU embeddings too, and where the fixed step
 0.1 / (1 + reg) was already stable it is kept bit for bit. λmax is one
-`eigvalsh` per descent, of an n x n or a (d+1) x (d+1) form, the smaller;
-it is skipped when a Cholesky factor shows that the bound cannot bind.
+`eigvalsh` per descent: of the n x n form built from the Gram matrix when the
+descent runs in the rows' span (below), else of the (d+1) x (d+1) form.
 
 One descent kernel trains a whole regularization grid jointly, the candidates
 stacked on a leading axis of the parameters. Its margins are one sample-major
@@ -162,47 +162,35 @@ def _check_fit(features, labels, regs, n_classes) -> None:
         raise ClassifierError(f"labels must lie in [0, {n_classes})")
 
 
-def _curvature_form(z, sample_w) -> np.ndarray:
-    """Z'ᵀ diag(w) Z' / n, Z' being `z` with a bias column, or the n x n form
-    with the same nonzero eigenvalues, whichever is smaller.
-
-    With S = diag(√w) Z', the forms are S Sᵀ / n (the Gram form, used when
-    n <= d) and Sᵀ S / n. The tall product Sᵀ S is an einsum, not a BLAS
-    call: OpenBLAS threads it even at d = 64, and its idle workers then spin
-    for about 0.1 s, taking a core from the CV folds.
-    """
-    n, dim = z.shape
-    scaled = np.hstack([z, np.ones((n, 1))])
-    scaled *= np.sqrt(sample_w)[:, None]
-    form = scaled @ scaled.T if n <= dim else np.einsum("ki,kj->ij", scaled, scaled)
+def _curvature_form(z, sample_w, gram=None) -> np.ndarray:
+    """Z'ᵀ diag(w) Z' / n, Z' being `z` with a bias column; given the Gram
+    matrix Z Zᵀ, the n x n form (Z Zᵀ + 1 1ᵀ) ∘ √w √wᵀ / n instead, which has
+    the same nonzero eigenvalues."""
+    n = len(z)
+    root_w = np.sqrt(sample_w)
+    if gram is None:
+        scaled = np.hstack([z, np.ones((n, 1))])
+        scaled *= root_w[:, None]
+        form = scaled.T @ scaled
+    else:
+        form = gram + 1.0
+        form *= root_w[:, None]
+        form *= root_w
     form /= n
     return form
 
 
-def _step_sizes(z, sample_w, regs) -> np.ndarray:
+def _step_sizes(z, sample_w, regs, gram=None) -> np.ndarray:
     """Step of each candidate: min(0.1 / (1 + reg), 1.5 / L).
 
     L = 2 λmax + 2 reg bounds the curvature of the objective, λmax being the
     largest eigenvalue of `_curvature_form`, taken with one `eigvalsh`. A
     step below 2 / L cannot diverge; 1.5 / L leaves the fixed step
     0.1 / (1 + reg) in place wherever it was already stable.
-
-    1.5 / L is the smaller exactly when λmax > 7.5 + 6.5 reg. A Cholesky
-    factor of t I - form, t just under that threshold at the smallest reg,
-    proves λmax < t, so every candidate keeps the fixed step and `eigvalsh`
-    (which, like the tall product, wakes OpenBLAS's workers above 64 x 64)
-    is skipped.
     """
     regs = np.asarray(regs, dtype=np.float64)
-    fixed = 0.1 / (1.0 + regs)
-    form = _curvature_form(z, sample_w)
-    below = (7.5 + 6.5 * regs.min()) * (1.0 - 1e-6)
-    try:
-        np.linalg.cholesky(below * np.eye(len(form)) - form)
-    except np.linalg.LinAlgError:
-        curvature = 2.0 * float(np.linalg.eigvalsh(form)[-1]) + 2.0 * regs
-        return np.minimum(fixed, 1.5 / curvature)
-    return fixed
+    lam = float(np.linalg.eigvalsh(_curvature_form(z, sample_w, gram))[-1])
+    return np.minimum(0.1 / (1.0 + regs), 1.5 / (2.0 * lam + 2.0 * regs))
 
 
 def _descend(z, targets, sample_w, regs):
@@ -232,7 +220,8 @@ def _descend(z, targets, sample_w, regs):
     n, dim = z.shape
     n_regs, n_classes = len(regs), targets.shape[1]
     row_space = n < dim
-    lr = _step_sizes(z, sample_w, regs)
+    gram = z @ z.T if row_space else None
+    lr = _step_sizes(z, sample_w, regs, gram)
     shape = (n, n_regs, n_classes)
     tiled_targets = np.broadcast_to(targets[:, None, :], shape).copy()
     weighted_targets = np.broadcast_to((sample_w[:, None] * targets)[:, None, :], shape).copy()
@@ -244,7 +233,7 @@ def _descend(z, targets, sample_w, regs):
     lr_b = lr[:, None]
     margins_out = margins.transpose(1, 0, 2)    # (G, n, C)
     if row_space:
-        basis = z @ z.T
+        basis = gram
         params = np.zeros(shape)                # A, sample-major
         params_t = params.transpose(1, 0, 2)    # (G, n, C)
         lr_p, two_reg = lr_b, (2.0 * regs)[:, None]

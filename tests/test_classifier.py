@@ -278,12 +278,18 @@ def skewed_blobs(n_classes, per_class, dim, seed):
     return d.features[keep], d.labels[keep]
 
 
+def kernel_gram(z):
+    """The Gram matrix `_descend` derives its step from: with fewer rows than
+    dims it descends in the rows' span, else it takes the (d+1)^2 form."""
+    return z @ z.T if len(z) < z.shape[1] else None
+
+
 def reference_descent(z, targets, sample_w, reg):
     """One candidate by the reference formula: GD_ITERATIONS `gradients` steps
     in the weights, at the step the kernel takes."""
     weights = np.zeros((targets.shape[1], z.shape[1]))
     biases = np.zeros(targets.shape[1])
-    [lr] = _step_sizes(z, sample_w, (reg,))
+    [lr] = _step_sizes(z, sample_w, (reg,), kernel_gram(z))
     for _ in range(GD_ITERATIONS):
         grad_w, grad_b = gradients(weights, biases, z, targets, sample_w, reg)
         weights -= lr * grad_w
@@ -403,19 +409,20 @@ class TestGridDescent:
             assert_close(weights[g], ref_w, 1e-9)
             assert_close(biases[g], ref_b, 1e-9)
 
-    # in 64 dims: the n x n Gram form below and at 64 rows, (d+1)^2 above
+    # in 64 dims, with fewer rows than dims, as many, and more
     @pytest.mark.parametrize("n", [6, 60, 64, 200])
     def test_curvature_forms_agree(self, n):
         rng = np.random.default_rng(n)
         z = np.maximum(rng.normal(size=(n, 8)) @ rng.normal(size=(8, 64)), 0.0)
         sample_w = rng.uniform(0.5, 2.0, size=n)
-        form = _curvature_form(z, sample_w)
-        assert form.shape == ((n, n) if n <= 64 else (65, 65))
+        by_dims = _curvature_form(z, sample_w)
+        by_rows = _curvature_form(z, sample_w, z @ z.T)
+        assert by_dims.shape == (65, 65) and by_rows.shape == (n, n)
         scaled = np.hstack([z, np.ones((n, 1))]) * np.sqrt(sample_w)[:, None]
-        by_dims = np.linalg.eigvalsh(scaled.T @ scaled / n)[-1]
-        by_rows = np.linalg.eigvalsh(scaled @ scaled.T / n)[-1]
-        assert np.linalg.eigvalsh(form)[-1] == pytest.approx(by_dims, rel=1e-12)
-        assert np.linalg.eigvalsh(form)[-1] == pytest.approx(by_rows, rel=1e-12)
+        assert np.allclose(by_dims, scaled.T @ scaled / n, rtol=1e-12, atol=0.0)
+        assert np.allclose(by_rows, scaled @ scaled.T / n, rtol=1e-12, atol=0.0)
+        lam = np.linalg.eigvalsh(by_dims)[-1]
+        assert np.linalg.eigvalsh(by_rows)[-1] == pytest.approx(lam, rel=1e-12)
 
     # the scale puts λmax below every threshold 7.5 + 6.5 reg at which the
     # bound binds, between them, and above all of them
@@ -443,7 +450,8 @@ class TestGridDescent:
             labels = train_pool.labels[rows]
             cw = class_weights(np.bincount(labels, minlength=20))
             z, _, sample_w = _problem(train_pool.features[rows], labels, cw)[:3]
-            assert np.array_equal(_step_sizes(z, sample_w, grid), 0.1 / (1.0 + grid))
+            lr = _step_sizes(z, sample_w, grid, kernel_gram(z))
+            assert np.array_equal(lr, 0.1 / (1.0 + grid))
 
     @pytest.mark.parametrize("folds", [2, 3])
     @pytest.mark.parametrize("per_class", [9, 36])
