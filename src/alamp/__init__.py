@@ -3,14 +3,16 @@
 Acquisition strategies: random, margin uncertainty, greedy k-center coreset,
 the cross-iteration certainty-shift score (alamp), and pseudo-class
 diversified variants (alamp-div, rand-div, marg-div), driven by a
-deterministic linear one-vs-rest classifier.
+deterministic linear one-vs-rest classifier. A run fits, scores and takes
+coreset distances in one feature space, built once by `standardize`.
 
 The acquisition functions take and return arrays aligned by position:
 `margin_scores(probs)` and `pseudo_classes(probs)` give one value per row of
 a `ProbMatrix`, `alamp_scores(prev, curr)` combines two aligned margin arrays,
-and `diversify(ranked_classes, batch)` returns positions in the ranking. The
-engine keeps every per-sample array aligned with the ascending unlabeled ids
-and maps its picks to ids once.
+and `diversify(ranked_classes, batch)` and `coreset_select(features, labeled,
+batch)` return positions in the ranking and in the space. The engine keeps
+every per-sample array aligned with the ascending unlabeled ids and maps its
+picks to ids once.
 """
 
 from .acquisition import (
@@ -38,6 +40,7 @@ from .dataset import (
     induce_imbalance,
     load_dataset,
     make_synthetic,
+    standardize,
     train_test_split,
     write_dataset,
 )

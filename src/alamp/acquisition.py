@@ -8,9 +8,9 @@ Per-sample values are arrays aligned by position: `margin_scores` and
 `pseudo_classes` give one value per row of a `ProbMatrix`, `alamp_scores`
 combines two margin arrays of the same samples in the same order, and
 `diversify` and `coreset_select` return positions (in the ranking and in the
-pool). Ties go to the lowest position; the engine keeps the unlabeled pool in
-ascending id order and maps positions to ids once, so its ties go to the
-lowest id, whatever the platform or thread count.
+feature space). Ties go to the lowest position; the engine keeps the pool and
+the space in ascending id order and maps positions to ids once, so its ties
+go to the lowest id, whatever the platform or thread count.
 """
 
 from __future__ import annotations
@@ -80,51 +80,55 @@ def random_select(pool_ids, batch: int, seed: int) -> np.ndarray:
     return rng.choice(pool, size=batch, replace=False)
 
 
-def coreset_select(pool, centres, batch: int) -> np.ndarray:
+def coreset_select(features, labeled, batch: int) -> np.ndarray:
     """Greedy k-center selection (min-max coverage of the feature space).
 
-    `pool` holds the candidate rows and `centres` the covered (labeled) rows,
-    in the same feature space. Repeatedly picks the pool row whose distance
-    to its nearest covered row (a centre or an earlier pick) is largest, and
-    returns the picks as positions into `pool`; ties go to the lowest
-    position.
+    Repeatedly picks the row of `features` farthest from its nearest covered
+    row (one of the `labeled` row positions, or an earlier pick), and returns
+    the picks as row positions; ties go to the lowest position. Labeled rows
+    start at -inf, so none is ever picked.
 
-    Distances are sqrt(|u|^2 + |c|^2 - 2 u.c) to the nearest centre c:
-    len(pool) x 2048 temporaries per block of centres, len(pool) per pick,
-    and the squared norms of the pool are summed 2048 rows at a time, so no
-    temporary is as large as `pool`. A squared distance within the
-    expansion's rounding error, 2 (dim + 2) eps (|u|^2 + |c|^2), reads as 0,
-    so coincident points tie exactly and the tie rule holds for them too.
+    Distances are sqrt(|u|^2 + |c|^2 - 2 u.c) to the nearest centre c, read
+    from `features` in place: len(features) x 2048 temporaries per block of
+    labeled rows, len(features) per pick, and the squared norms are summed
+    2048 rows at a time, so no temporary is as large as `features`. A
+    squared distance within the expansion's rounding error,
+    2 (dim + 2) eps (|u|^2 + |c|^2), reads as 0, so coincident points tie
+    exactly and the tie rule holds for them too.
     """
-    pool = np.asarray(pool, dtype=np.float64)
-    centres = np.asarray(centres, dtype=np.float64)
-    if len(centres) == 0:
+    features = np.asarray(features, dtype=np.float64)
+    labeled = np.asarray(labeled, dtype=np.int64)
+    n = len(features)
+    if len(labeled) == 0:
         raise AcquisitionError("coreset needs a non-empty labeled set")
-    _check_batch(batch, len(pool))
+    if labeled.min() < 0 or labeled.max() >= n:
+        raise AcquisitionError(f"labeled rows must lie in [0, {n})")
+    min_dist = np.full(n, np.inf)
+    min_dist[labeled] = -np.inf
+    _check_batch(batch, int(np.count_nonzero(min_dist > 0)))
 
-    u_sq = np.empty(len(pool))
-    for start in range(0, len(pool), _BLOCK):
-        (pool[start:start + _BLOCK] ** 2).sum(axis=1, out=u_sq[start:start + _BLOCK])
-    tol = 2.0 * (pool.shape[1] + 2) * np.finfo(np.float64).eps
+    u_sq = np.empty(n)
+    for start in range(0, n, _BLOCK):
+        (features[start:start + _BLOCK] ** 2).sum(axis=1, out=u_sq[start:start + _BLOCK])
+    tol = 2.0 * (features.shape[1] + 2) * np.finfo(np.float64).eps
 
     def nearest(block):
         norms = u_sq[:, None] + (block ** 2).sum(axis=1)
-        sq = pool @ block.T
+        sq = features @ block.T
         sq *= -2.0
         sq += norms
         norms *= tol
         sq[sq <= norms] = 0.0
         return np.sqrt(sq.min(axis=1))
 
-    min_dist = np.full(len(pool), np.inf)
-    for start in range(0, len(centres), _BLOCK):
-        min_dist = np.minimum(min_dist, nearest(centres[start:start + _BLOCK]))
+    for start in range(0, len(labeled), _BLOCK):
+        np.minimum(min_dist, nearest(features[labeled[start:start + _BLOCK]]), out=min_dist)
 
     picks = []
     for _ in range(batch):
         pick = int(np.argmax(min_dist))  # argmax returns the first (lowest position) max
         picks.append(pick)
-        min_dist = np.minimum(min_dist, nearest(pool[pick:pick + 1]))
+        np.minimum(min_dist, nearest(features[pick:pick + 1]), out=min_dist)
         min_dist[pick] = -np.inf
     return np.array(picks, dtype=np.int64)
 

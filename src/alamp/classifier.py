@@ -3,11 +3,12 @@
 One-vs-rest linear models trained with full-batch gradient descent on a
 cost-weighted squared-hinge loss plus L2 penalty. Zero initialization and a
 fixed iteration budget make training bit-reproducible: the same inputs always
-yield the same model, regardless of seed or thread count.
+yield the same model, whatever the seed, and whatever the BLAS thread count
+while no product is large enough for OpenBLAS to split it over threads.
 
 Each descent takes 500 steps of size min(0.1 / (1 + reg), 1.5 / L), where
 L = 2 λmax(Z'ᵀ diag(w) Z' / n) + 2 reg bounds the objective's curvature (Z'
-is the standardized features with a bias column, w the per-sample weights).
+is the features with a bias column, w the per-sample weights).
 So no step diverges, on ReLU embeddings too, and where the fixed step
 0.1 / (1 + reg) was already stable it is kept bit for bit. λmax is one
 `eigvalsh` per descent: of the n x n form built from the Gram matrix when the
@@ -38,10 +39,9 @@ folds are independent, and numpy releases the interpreter lock inside their
 products and array loops. Fold accuracies are reduced in fold order, so the
 chosen regularization is the one a serial loop picks.
 
-Features are standardized per dimension using statistics of the training
-(labeled) pool; the scaler is stored on the model, and `standardize` applies
-it to every pool the model scores. Given the rows to score, it gathers only
-those and scales them in place, so scoring a pool holds one pool-sized array.
+Models fit and score the features they are given, with no scaler of their
+own: a run's features are standardized once, by `dataset.standardize`.
+Scoring a pool is one product with the weights, and copies no pool rows.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ __all__ = [
     "train",
     "select_reg_param",
     "fit",
-    "standardize",
     "decision_values",
     "predict_proba",
     "predict",
@@ -81,16 +80,12 @@ class ClassifierError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class Model:
-    """Per-class linear decision functions d_c(x) = w_c . z + b_c.
+    """Per-class linear decision functions d_c(x) = w_c . x + b_c, over the
+    feature space the model was trained in."""
 
-    z is the standardized feature vector: (x - feature_mean) / feature_scale.
-    """
-
-    weights: np.ndarray        # (n_classes, dim)
-    biases: np.ndarray         # (n_classes,)
+    weights: np.ndarray  # (n_classes, dim)
+    biases: np.ndarray   # (n_classes,)
     reg_param: float
-    feature_mean: np.ndarray   # (dim,)
-    feature_scale: np.ndarray  # (dim,), 1.0 for constant dimensions
 
     @property
     def n_classes(self) -> int:
@@ -124,13 +119,6 @@ def class_weights(counts) -> np.ndarray:
 def _weights(counts, cost_sensitive: bool) -> np.ndarray:
     """Class weights of a fit or CV fold with these per-class counts."""
     return class_weights(counts) if cost_sensitive else np.ones(len(counts))
-
-
-def _standardizer(features: np.ndarray):
-    mean = features.mean(axis=0)
-    std = features.std(axis=0)
-    scale = np.where(std > 0, std, 1.0)
-    return mean, scale
 
 
 def objective(weights, biases, z, targets, sample_w, reg_param):
@@ -268,14 +256,11 @@ def _descend(z, targets, sample_w, regs):
     return weights, biases
 
 
-def _problem(features, labels, cw):
-    """Standardized features, +-1 targets and per-sample weights of a fit."""
-    mean, scale = _standardizer(features)
-    z = features - mean
-    z /= scale
+def _problem(labels, cw):
+    """+-1 targets and per-sample weights of a fit."""
     targets = np.full((len(labels), len(cw)), -1.0)
     targets[np.arange(len(labels)), labels] = 1.0
-    return z, targets, cw[labels], mean, scale
+    return targets, cw[labels]
 
 
 def train(features, labels, class_weights_vec, reg_param: float) -> Model:
@@ -295,12 +280,11 @@ def train(features, labels, class_weights_vec, reg_param: float) -> Model:
     labels = np.asarray(labels, dtype=np.int64)
     cw = np.asarray(class_weights_vec, dtype=np.float64)
     _check_fit(features, labels, (reg_param,), len(cw))
-    z, targets, sample_w, mean, scale = _problem(features, labels, cw)
-    weights, biases = _descend(z, targets, sample_w, (reg_param,))
+    targets, sample_w = _problem(labels, cw)
+    weights, biases = _descend(features, targets, sample_w, (reg_param,))
     if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(biases))):
         raise ClassifierError(f"training diverged at reg_param {reg_param}")
-    return Model(weights=weights[0], biases=biases[0], reg_param=float(reg_param),
-                 feature_mean=mean, feature_scale=scale)
+    return Model(weights=weights[0], biases=biases[0], reg_param=float(reg_param))
 
 
 def _stratified_folds(labels: np.ndarray, folds: int, seed: int):
@@ -321,15 +305,14 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
 
     Each fold weights its training part by `_weights`, as `fit` does.
 
-    Each fold is standardized once and the whole grid is trained on it
-    jointly by the descent kernel; every candidate's model is bit-identical
-    to a separate `train` call. The folds train concurrently, one thread
-    each, in copies of the caller's context (so `np.errstate` and
-    `np.seterrcall` apply inside them). Their accuracies are reduced in fold
-    order, and a failure raises the error of the lowest failing fold, as a
-    serial loop would. A candidate whose model is not finite in some fold
-    cannot be selected, and if none is left, ClassifierError is raised. Ties
-    go to the smallest candidate.
+    The whole grid is trained on each fold jointly by the descent kernel;
+    every candidate's model is bit-identical to a separate `train` call. The
+    folds train concurrently, one thread each, in copies of the caller's
+    context (so `np.errstate` and `np.seterrcall` apply inside them). Their
+    accuracies are reduced in fold order, and a failure raises the error of
+    the lowest failing fold, as a serial loop would. A candidate whose model
+    is not finite in some fold cannot be selected, and if none is left,
+    ClassifierError is raised. Ties go to the smallest candidate.
     Folds are reduced to the smallest class count when a class is too small.
     """
     features = np.asarray(features, dtype=np.float64)
@@ -353,12 +336,10 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
         tr = assignment != f
         va = ~tr
         cw = _weights(np.bincount(labels[tr], minlength=n_classes), cost_sensitive)
-        z, targets, sample_w, mean, scale = _problem(features[tr], labels[tr], cw)
-        weights, biases = _descend(z, targets, sample_w, grid)
-        z_va = features[va] - mean
-        z_va /= scale
+        targets, sample_w = _problem(labels[tr], cw)
+        weights, biases = _descend(features[tr], targets, sample_w, grid)
         finite = np.isfinite(weights).all(axis=(1, 2)) & np.isfinite(biases).all(axis=1)
-        preds = np.argmax(z_va @ weights.transpose(0, 2, 1) + biases[:, None, :], axis=2)
+        preds = np.argmax(features[va] @ weights.transpose(0, 2, 1) + biases[:, None, :], axis=2)
         return np.where(finite, np.mean(preds == labels[va], axis=1), np.nan)
 
     with ThreadPoolExecutor(max_workers=folds) as executor:
@@ -390,37 +371,21 @@ def fit(pool, cost_sensitive: bool, seed: int) -> Model:
     return train(pool.features, pool.labels, _weights(counts, cost_sensitive), reg)
 
 
-def standardize(model: Model, features, rows=None) -> np.ndarray:
-    """Features scaled as the model saw them in training, in one new array.
-
-    With `rows` (integer row indices), only those rows are gathered, and they
-    are scaled in place: the same bits as `standardize(model, features[rows])`
-    without a second pool-sized copy.
-    """
-    if rows is None:
-        z = features - model.feature_mean
-    else:
-        z = np.take(features, rows, axis=0)
-        z -= model.feature_mean
-    z /= model.feature_scale
-    return z
-
-
-def decision_values(model: Model, features, rows=None) -> np.ndarray:
-    """Per-class decision values of `features`, or of its `rows` only."""
+def decision_values(model: Model, features) -> np.ndarray:
+    """Per-class decision values of each row of `features`."""
     features = np.asarray(features, dtype=np.float64)
     if features.shape[1] != model.dim:
         raise ClassifierError(
             f"feature dim {features.shape[1]} does not match model dim {model.dim}")
-    dv = standardize(model, features, rows) @ model.weights.T
+    dv = features @ model.weights.T
     dv += model.biases
     return dv
 
 
-def predict_proba(model: Model, features, rows=None) -> ProbMatrix:
-    """Softmax over decision values, of `features` or of its `rows` only; rows
-    sum to 1 within 1e-6. The softmax runs in place on the decision values."""
-    probs = decision_values(model, features, rows)
+def predict_proba(model: Model, features) -> ProbMatrix:
+    """Softmax over the decision values of each row of `features`; rows sum
+    to 1 within 1e-6. The softmax runs in place on the decision values."""
+    probs = decision_values(model, features)
     probs -= probs.max(axis=1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)

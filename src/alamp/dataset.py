@@ -19,6 +19,7 @@ __all__ = [
     "write_dataset",
     "make_synthetic",
     "train_test_split",
+    "standardize",
     "imbalance_ratio",
     "induce_imbalance",
 ]
@@ -216,10 +217,13 @@ def train_test_split(dataset: Dataset, test_fraction: float, seed: int):
     """Stratified split into (train, test); deterministic per seed.
 
     Each class contributes round(test_fraction * count) samples to the test
-    side (at least 1, at most count - 1).
+    side (at least 1, at most count - 1), so every class needs 2 samples.
     """
     if not 0 < test_fraction < 1:
         raise DatasetError("test_fraction must be in (0, 1)")
+    counts = dataset.class_counts()
+    if counts.min() < 2:
+        raise DatasetError(f"class {np.argmin(counts)} has {counts.min()} sample(s), need 2")
     rng = np.random.default_rng(seed)
     test_ids = []
     for cls in range(dataset.n_classes):
@@ -229,6 +233,27 @@ def train_test_split(dataset: Dataset, test_fraction: float, seed: int):
     test_ids = np.sort(np.concatenate(test_ids))
     train_ids = np.setdiff1d(dataset.sample_ids, test_ids)
     return dataset.subset(train_ids), dataset.subset(test_ids)
+
+
+def standardize(train: Dataset, test: Dataset):
+    """A run's feature space: `(train, test)`, each sorted by id, centred and
+    scaled per dimension by the training pool's mean and std (scale 1 for a
+    constant dimension). The sorted copy is first shifted by its first row,
+    so a constant dimension is exactly 0 whatever rounding its mean takes."""
+    order = np.argsort(train.sample_ids)
+    z = train.features[order]
+    mean = z[0].copy()
+    z -= mean
+    centre = z.mean(axis=0)
+    z -= centre
+    mean += centre
+    std = np.sqrt(np.einsum("ij,ij->j", z, z) / len(z))
+    scale = np.where(std > 0, std, 1.0)
+    z /= scale
+    test_order = np.argsort(test.sample_ids)
+    return (Dataset(z, train.labels[order], train.n_classes, train.sample_ids[order]),
+            Dataset((test.features[test_order] - mean) / scale, test.labels[test_order],
+                    test.n_classes, test.sample_ids[test_order]))
 
 
 def imbalance_ratio(counts) -> float:

@@ -1,11 +1,11 @@
 """Iterative pool-based active learning protocol.
 
-A run starts from a random seed batch, then alternates selection (per the
-chosen acquisition function), simulated labeling (labels come from the
-training dataset itself), and from-scratch retraining by `classifier.fit`. A
-step scores the pool only if its rule reads scores (random and coreset do
-not), and keeps that model's margins and pseudo classes for the next step's
-cross-iteration score and its diversified variant.
+A run standardizes its feature space once, starts from a random seed batch,
+then alternates selection (per the chosen acquisition function), simulated
+labeling (labels come from the training dataset itself), and from-scratch
+retraining by `classifier.fit`. A step scores the space only if its rule
+reads scores (random and coreset do not), and keeps the unlabeled rows'
+margins and pseudo classes for the next step's alamp score and alamp-div.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import acquisition, classifier
 from .classifier import Model
-from .dataset import Dataset, imbalance_ratio
+from .dataset import Dataset, imbalance_ratio, standardize
 from .metrics import IterationRecord, Report, RunMeta
 
 __all__ = [
@@ -133,10 +133,10 @@ def _select(state: PoolState, model: Model, af: str, train: Dataset, batch: int,
     returns the current model's margins and pseudo classes, or None for both
     if the rule reads no scores.
 
-    Every per-sample array here, the state's included, is aligned with
-    `state.unlabeled_ids`. The coreset and scored rules pick positions in it
-    and map them to ids on return (random draws ids). The pool is ascending,
-    so a tie broken to the lowest position goes to the lowest id.
+    Coreset picks rows of `train`; the scored rules score all of it, and pick
+    positions in `state.unlabeled_ids`, with which every per-sample array here
+    is aligned. Picks map to ids on return (random draws ids); rows and pool
+    are in id order, so a tie broken to the lowest position goes to the lowest id.
     """
     unlabeled = state.unlabeled_ids
     if state.prev_margins is None:
@@ -144,19 +144,17 @@ def _select(state: PoolState, model: Model, af: str, train: Dataset, batch: int,
     if af == "random":
         return acquisition.random_select(unlabeled, batch, seed), None, None
 
-    rows = train.rows_for(unlabeled)
+    ids = train.sample_ids
     if af == "coreset":
-        # Euclidean distances on the model-standardized features
-        picks = acquisition.coreset_select(
-            classifier.standardize(model, train.features, rows),
-            classifier.standardize(model, train.features, train.rows_for(state.labeled_ids)),
-            batch)
-        return unlabeled[picks], None, None
+        labeled = np.searchsorted(ids, state.labeled_ids)
+        return ids[acquisition.coreset_select(train.features, labeled, batch)], None, None
 
     # alamp and alamp-div rank by the shift from the previous model's
     # margins, and alamp-div spreads over its pseudo classes.
-    probs = classifier.predict_proba(model, train.features, rows=rows)
-    margins, pseudo = acquisition.margin_scores(probs), acquisition.pseudo_classes(probs)
+    probs = classifier.predict_proba(model, train.features)
+    rows = np.searchsorted(ids, unlabeled)
+    margins = acquisition.margin_scores(probs)[rows]
+    pseudo = acquisition.pseudo_classes(probs)[rows]
     if af == "rand-div":
         order = np.random.default_rng(seed).permutation(len(unlabeled))
     elif af in ("alamp", "alamp-div"):
@@ -175,9 +173,9 @@ def step(state: PoolState, model: Model, af: str, train: Dataset, seed: int,
          batch: int, cost_sensitive: bool = True):
     """One protocol iteration: score if the rule reads scores, select, label, retrain.
 
-    Returns the new pool state, the retrained model, and a record of the
-    selection (test accuracy is filled in by the caller, which owns the test
-    set).
+    `train` is the run's feature space, in id order. Returns the new pool
+    state, the retrained model, and a record of the selection (test accuracy
+    is filled in by the caller, which owns the test set).
     """
     if af not in AF_NAMES:
         raise EngineError(f"unknown acquisition function {af!r}")
@@ -185,6 +183,8 @@ def step(state: PoolState, model: Model, af: str, train: Dataset, seed: int,
         raise EngineError("batch size must be >= 1")
     if len(state.unlabeled_ids) < batch:
         raise EngineError("unlabeled pool exhausted")
+    if np.any(train.sample_ids[1:] <= train.sample_ids[:-1]):
+        raise EngineError("train rows must be in ascending id order")
     k = state.iteration + 1
     step_seed = _step_seed(seed, k)
     selected, margins, pseudo = _select(state, model, af, train, batch, step_seed)
@@ -204,6 +204,7 @@ def run_strategies(train: Dataset, test: Dataset, afs, plan: BudgetPlan,
                    dataset_name: str = "dataset") -> list:
     """Full AL cycle for each strategy in `afs`, one report each, in order.
 
+    Every strategy runs in one feature space, built once by `standardize`.
     The seed batch and initial model depend only on the data, plan, seed and
     cost sensitivity, so they are built once and every strategy steps from
     that shared start. So is the first step of each selection rule: with no
@@ -218,6 +219,7 @@ def run_strategies(train: Dataset, test: Dataset, afs, plan: BudgetPlan,
             raise EngineError(f"unknown acquisition function {af!r}")
     if train.dim != test.dim or train.n_classes != test.n_classes:
         raise EngineError("train/test dimensionality or class count mismatch")
+    train, test = standardize(train, test)
 
     def tested(result):
         state, model, record = result

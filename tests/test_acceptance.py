@@ -43,10 +43,11 @@ def diversify(ordered, pseudo, batch):
 
 def coreset_rows(features, labeled, unlabeled, batch):
     """`coreset_select` over rows of one feature matrix: `labeled` and
-    `unlabeled` are rows of `features`, and so are the picks."""
+    `unlabeled` are rows of `features`, and so are the picks. The space is
+    their rows in ascending order, so ties go to the lowest row."""
     features = np.asarray(features, dtype=np.float64)
-    unlabeled = np.sort(np.asarray(unlabeled, dtype=np.int64))
-    return unlabeled[coreset_select(features[unlabeled], features[labeled], batch)]
+    rows = np.union1d(labeled, unlabeled).astype(np.int64)
+    return rows[coreset_select(features[rows], np.searchsorted(rows, labeled), batch)]
 
 
 def test_criterion_1_formula_fidelity():
@@ -148,9 +149,8 @@ def test_criterion_3_numerical_soundness():
     # probability rows and argmax consistency on 10^4 random rows
     rng = np.random.default_rng(99)
     n_classes = 7
-    model = classifier.Model(
-        weights=np.eye(n_classes), biases=np.zeros(n_classes), reg_param=1.0,
-        feature_mean=np.zeros(n_classes), feature_scale=np.ones(n_classes))
+    model = classifier.Model(weights=np.eye(n_classes), biases=np.zeros(n_classes),
+                             reg_param=1.0)
     x = rng.normal(scale=10.0, size=(10_000, n_classes))
     probs = predict_proba(model, x).probs
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)

@@ -105,7 +105,7 @@ class TestRandomSelect:
 
 SELECTIONS = {
     "random_select": lambda batch: random_select([0, 1, 2, 3], batch, 0),
-    "coreset_select": lambda batch: coreset_select(np.arange(4.0)[:, None], [[0.0]], batch),
+    "coreset_select": lambda batch: coreset_select(np.arange(4.0)[:, None], [0], batch),
     "diversify": lambda batch: acquisition.diversify([0, 0, 1, 1], batch),
 }
 
@@ -119,12 +119,11 @@ def test_batch_below_one_rejected(name, batch):
 
 def coreset_rows(features, labeled, unlabeled, batch):
     """`coreset_select` over rows of one feature matrix: `labeled` and
-    `unlabeled` are rows of `features`, and so are the picks (the pool in
-    ascending row order, so ties go to the lowest row)."""
+    `unlabeled` are rows of `features`, and so are the picks (the space is
+    their rows in ascending order, so ties go to the lowest row)."""
     features = np.asarray(features, dtype=np.float64)
-    labeled = np.asarray(labeled, dtype=np.int64)
-    unlabeled = np.sort(np.asarray(unlabeled, dtype=np.int64))
-    return unlabeled[coreset_select(features[unlabeled], features[labeled], batch)]
+    rows = np.union1d(labeled, unlabeled).astype(np.int64)
+    return rows[coreset_select(features[rows], np.searchsorted(rows, labeled), batch)]
 
 
 def rows_api_coreset(features, labeled_ids, unlabeled_ids, batch):
@@ -283,10 +282,35 @@ class TestCoresetSelect:
         self.assert_matches_rows_api(feats, np.arange(4), np.arange(4, 24))
 
     def test_picks_are_pool_positions(self):
-        pool = np.array([[1.0], [3.0], [2.9]])
-        assert coreset_select(pool, np.array([[0.0]]), 2).tolist() == [1, 0]
+        space = np.array([[1.0], [0.0], [3.0], [2.9]])
+        assert coreset_select(space, [1], 2).tolist() == [2, 0]
         # equal distances tie to the lowest position
-        assert coreset_select(np.array([[2.0], [-2.0]]), np.array([[0.0]]), 1).tolist() == [0]
+        assert coreset_select(np.array([[0.0], [2.0], [-2.0]]), [0], 1).tolist() == [1]
+
+    def test_labeled_row_never_picked(self):
+        # every unlabeled row coincides with a labeled one, and the batch
+        # takes them all: they tie at distance 0 and the labeled rows stay out
+        rng = np.random.default_rng(4)
+        base = rng.normal(size=(5, 3))
+        space = np.vstack([base, base, base[:2]])
+        labeled = np.array([0, 1, 2, 3, 4])
+        picks = coreset_select(space, labeled, len(space) - len(labeled))
+        assert picks.tolist() == list(range(5, 12))
+        assert not np.isin(picks, labeled).any()
+
+    def test_batch_above_unlabeled_count_rejected(self):
+        space = np.arange(5.0)[:, None]
+        assert len(coreset_select(space, [0, 2], 3)) == 3
+        with pytest.raises(AcquisitionError, match="batch 4 exceeds pool size 3"):
+            coreset_select(space, [0, 2], 4)
+        # a repeated labeled row is counted once
+        with pytest.raises(AcquisitionError, match="batch 4 exceeds pool size 3"):
+            coreset_select(space, [0, 2, 2], 4)
+
+    @pytest.mark.parametrize("labeled", [[-1], [5], [0, 7]])
+    def test_labeled_row_outside_space_rejected(self, labeled):
+        with pytest.raises(AcquisitionError, match=r"labeled rows must lie in \[0, 5\)"):
+            coreset_select(np.arange(5.0)[:, None], labeled, 1)
 
 
 def reference_diversify(ordered, pseudo, batch):

@@ -22,11 +22,10 @@ from alamp.classifier import (
     predict,
     predict_proba,
     select_reg_param,
-    standardize,
     train,
     accuracy,
 )
-from alamp.dataset import Dataset, make_synthetic, train_test_split
+from alamp.dataset import Dataset, make_synthetic, standardize, train_test_split
 
 
 class TestClassWeights:
@@ -317,9 +316,11 @@ def per_reg_select_reg_param(features, labels, grid, folds=3, seed=0):
     return best_reg
 
 
-def descent_problem(features, labels):
-    cw = class_weights(np.bincount(labels))
-    return _problem(np.asarray(features, dtype=np.float64), labels, cw)[:3]
+def descent_problem(features, labels, cw=None):
+    """The features, targets and sample weights a fit hands `_descend`."""
+    if cw is None:
+        cw = class_weights(np.bincount(labels))
+    return (np.asarray(features, dtype=np.float64), *_problem(labels, cw))
 
 
 def assert_close(got, want, rtol):
@@ -353,7 +354,7 @@ class TestGridDescent:
         features = rng.normal(size=(n, 7))
         labels = np.arange(n) % n_classes
         cw = class_weights(np.bincount(labels, minlength=n_classes))
-        z, targets, sample_w = _problem(features, labels, cw)[:3]
+        z, targets, sample_w = descent_problem(features, labels, cw)
         weights, biases = _descend(z, targets, sample_w, regs)
         assert weights.shape == (len(regs), n_classes, 7)
         for g, reg in enumerate(regs):
@@ -368,7 +369,7 @@ class TestGridDescent:
     def test_train_is_the_one_candidate_grid(self):
         features, labels = skewed_blobs(5, 20, 8, 2)
         cw = class_weights(np.bincount(labels))
-        z, targets, sample_w = _problem(features, labels, cw)[:3]
+        z, targets, sample_w = descent_problem(features, labels, cw)
         model = train(features, labels, cw, 0.1)
         ref_w, ref_b = reference_descent(z, targets, sample_w, 0.1)
         assert model.weights.tobytes() == ref_w.tobytes()
@@ -440,16 +441,17 @@ class TestGridDescent:
 
     @pytest.mark.parametrize("seed", [0, 1, 1000])
     def test_step_rule_keeps_fixed_step_on_desk_subsets(self, seed):
-        # criterion 7's data: the curvature bound never binds, so desk-scale
-        # fits take the fixed step 0.1 / (1 + reg) bit for bit
-        train_pool = train_test_split(make_synthetic(20, 250, 64, 1.6, seed), 0.2, seed + 1)[0]
+        # criterion 7's data in its run's feature space: the curvature bound
+        # never binds, so desk-scale fits take the fixed step 0.1 / (1 + reg)
+        train_pool = standardize(*train_test_split(make_synthetic(20, 250, 64, 1.6, seed),
+                                                   0.2, seed + 1))[0]
         rng = np.random.default_rng(seed)
         grid = np.array(DEFAULT_REG_GRID)
         for n in (45, 100, 200, 400, 600):
             rows = rng.choice(train_pool.n_samples, n, replace=False)
             labels = train_pool.labels[rows]
             cw = class_weights(np.bincount(labels, minlength=20))
-            z, _, sample_w = _problem(train_pool.features[rows], labels, cw)[:3]
+            z, _, sample_w = descent_problem(train_pool.features[rows], labels, cw)
             lr = _step_sizes(z, sample_w, grid, kernel_gram(z))
             assert np.array_equal(lr, 0.1 / (1.0 + grid))
 
@@ -524,20 +526,16 @@ def model_with_decisions(dv_rows):
     n_classes = dv_rows.shape[1]
     # weights = identity on a feature space of dim n_classes, no scaling
     from alamp.classifier import Model
-    return Model(weights=np.eye(n_classes), biases=np.zeros(n_classes),
-                 reg_param=1.0, feature_mean=np.zeros(n_classes), feature_scale=np.ones(n_classes))
+    return Model(weights=np.eye(n_classes), biases=np.zeros(n_classes), reg_param=1.0)
 
 
-class TestStandardize:
-    def test_applies_the_training_scaler(self):
+class TestDecisionValues:
+    def test_scores_the_features_as_given(self):
+        # no scaler of the model's own: the features are the space it was fit in
         d = make_synthetic(3, 20, 4, 0.5, 0)
         model = train(d.features, d.labels, class_weights(d.class_counts()), 0.1)
-        z = standardize(model, d.features)
-        # the training pool comes out centred with unit spread
-        assert np.allclose(z.mean(axis=0), 0.0)
-        assert np.allclose(z.std(axis=0), 1.0)
         assert np.array_equal(decision_values(model, d.features),
-                              z @ model.weights.T + model.biases)
+                              d.features @ model.weights.T + model.biases)
 
 
 class TestPredictProba:

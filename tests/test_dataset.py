@@ -12,6 +12,7 @@ from alamp.dataset import (
     induce_imbalance,
     load_dataset,
     make_synthetic,
+    standardize,
     train_test_split,
     write_dataset,
 )
@@ -296,3 +297,67 @@ class TestTrainTestSplit:
         a, _ = train_test_split(d, 0.2, 7)
         b, _ = train_test_split(d, 0.2, 7)
         assert np.array_equal(a.sample_ids, b.sample_ids)
+
+    # a class with no sample, and one with a single sample, cannot give a
+    # sample to both sides
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_class_below_two_samples_rejected(self, count):
+        labels = np.array([0, 0, 0] + [1] * count + [2, 2, 2])
+        d = Dataset(features=np.arange(len(labels), dtype=np.float64)[:, None], labels=labels,
+                    n_classes=3, sample_ids=np.arange(len(labels)))
+        with pytest.raises(DatasetError, match=rf"class 1 has {count} sample\(s\)"):
+            train_test_split(d, 0.3, 0)
+
+
+def shuffled(d, seed):
+    """The same rows in a random order."""
+    perm = np.random.default_rng(seed).permutation(d.n_samples)
+    return Dataset(features=d.features[perm], labels=d.labels[perm],
+                   n_classes=d.n_classes, sample_ids=d.sample_ids[perm])
+
+
+class TestStandardize:
+    @pytest.fixture
+    def pools(self):
+        # dim 2 is constant on the pool (0.1, whose mean over the pool rounds
+        # away from 0.1) and differs on the test set (4.0)
+        train, test = train_test_split(make_synthetic(3, 40, 4, 0.5, 0), 0.25, 0)
+        constant = []
+        for d, value in ((train, 0.1), (test, 4.0)):
+            features = d.features.copy()
+            features[:, 2] = value
+            constant.append(shuffled(Dataset(features=features, labels=d.labels,
+                                             n_classes=3, sample_ids=d.sample_ids), 1))
+        return tuple(constant)
+
+    def test_pool_has_mean_zero_and_unit_std(self, pools):
+        space, _ = standardize(*pools)
+        assert np.allclose(space.features.mean(axis=0), 0.0, rtol=0, atol=1e-12)
+        assert np.allclose(space.features.std(axis=0)[[0, 1, 3]], 1.0, rtol=1e-12)
+
+    def test_constant_dimension_has_scale_one(self, pools):
+        space, space_test = standardize(*pools)
+        assert np.all(space.features[:, 2] == 0.0)
+        assert np.all(space_test.features[:, 2] == 4.0 - 0.1)  # scale 1
+
+    def test_test_set_scaled_by_pool_statistics(self, pools):
+        train, test = pools
+        _, space_test = standardize(train, test)
+        mean, std = train.features.mean(axis=0), train.features.std(axis=0)
+        scale = np.where(np.ptp(train.features, axis=0) > 0, std, 1.0)
+        order = np.argsort(test.sample_ids)
+        assert np.allclose(space_test.features, (test.features[order] - mean) / scale,
+                           rtol=1e-12, atol=1e-12)
+
+    def test_rows_come_back_in_id_order(self, pools):
+        for before, after in zip(pools, standardize(*pools)):
+            order = np.argsort(before.sample_ids)
+            assert np.array_equal(after.sample_ids, np.sort(before.sample_ids))
+            assert np.array_equal(after.labels, before.labels[order])
+            assert after.n_classes == before.n_classes
+
+    def test_row_order_does_not_change_the_space(self, pools):
+        a = standardize(*pools)
+        b = standardize(shuffled(pools[0], 2), shuffled(pools[1], 3))
+        for x, y in zip(a, b):
+            assert x.features.tobytes() == y.features.tobytes()

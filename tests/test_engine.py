@@ -1,11 +1,21 @@
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from alamp import acquisition, classifier
-from alamp.dataset import Dataset, induce_imbalance, make_synthetic, train_test_split
+from alamp import acquisition, classifier, engine
+from alamp.dataset import (
+    Dataset,
+    induce_imbalance,
+    make_synthetic,
+    standardize,
+    train_test_split,
+)
 from alamp.engine import (
     AF_NAMES,
     BudgetPlan,
@@ -16,7 +26,8 @@ from alamp.engine import (
     run_strategies,
     step,
 )
-from alamp.metrics import write_report
+from alamp.metrics import Report, RunMeta, write_report
+from test_dataset import shuffled
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +154,7 @@ class TestStep:
             picker = model
             state, model, _ = step(state, model, "alamp", train, 0, PLAN.batch)
             ids = state.unlabeled_ids
-            probs = classifier.predict_proba(picker, train.features, rows=train.rows_for(ids))
+            probs = classifier.predict_proba(picker, train.features[train.rows_for(ids)])
             assert state.prev_margins.shape == state.prev_pseudo.shape == (len(ids),)
             np.testing.assert_allclose(state.prev_margins, acquisition.margin_scores(probs),
                                        rtol=0, atol=1e-12)
@@ -171,6 +182,15 @@ class TestStep:
         state, model, _ = init_pool(train, PLAN, 0)
         with pytest.raises(EngineError, match="batch size must be >= 1"):
             step(state, model, af, train, 0, batch)
+
+    def test_train_not_in_id_order_rejected(self, pools):
+        # a step reads rows by position, which ranks ids only in id order
+        train, _ = pools
+        state, model, _ = init_pool(train, PLAN, 0)
+        flipped = Dataset(features=train.features[::-1], labels=train.labels[::-1],
+                          n_classes=train.n_classes, sample_ids=train.sample_ids[::-1])
+        with pytest.raises(EngineError, match="ascending id order"):
+            step(state, model, "coreset", flipped, 0, PLAN.batch)
 
 
 class TestPoolStateChecks:
@@ -211,7 +231,7 @@ class TestTieRule:
             state, model, _ = step(state, model, af, twins, 0, plan.batch)
         ids = state.unlabeled_ids
         key = acquisition.margin_scores(
-            classifier.predict_proba(model, twins.features, rows=twins.rows_for(ids)))
+            classifier.predict_proba(model, twins.features))[twins.rows_for(ids)]
         if af == "alamp":
             key = acquisition.alamp_scores(state.prev_margins, key)
         picks = step(state, model, af, twins, 0, plan.batch)[2].selected_ids
@@ -274,10 +294,10 @@ def relu_dataset(n_classes, per_class, dim, rank, separation, seed):
 
 class TestStepMemory:
     @pytest.mark.parametrize("af", ["margin", "coreset"])
-    def test_step_holds_one_pool_sized_array(self, af):
-        # the unlabeled rows are gathered and standardized once, in place, for
-        # scoring and again for coreset; no other temporary is pool-sized
-        train, _ = train_test_split(relu_dataset(10, 600, 256, 8, 3.0, 0), 0.1, 0)
+    def test_step_holds_no_pool_sized_array(self, af):
+        # scoring and coreset read the run's feature space in place: no
+        # gathered or rescaled copy of the unlabeled rows
+        train, _ = standardize(*train_test_split(relu_dataset(10, 600, 256, 8, 3.0, 0), 0.1, 0))
         state, model, _ = init_pool(train, BudgetPlan(40, 2), 0)
         pool_bytes = len(state.unlabeled_ids) * train.dim * 8
         tracemalloc.start()
@@ -286,7 +306,7 @@ class TestStepMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.6 * pool_bytes
+        assert peak <= 0.5 * pool_bytes
 
 
 class TestRunExperiment:
@@ -337,6 +357,73 @@ class TestRunExperiment:
         other = make_synthetic(5, 10, 9, 0.5, 0)
         with pytest.raises(EngineError):
             run_experiment(train, other, "random", PLAN, 0)
+
+
+class TestFeatureSpace:
+    def test_run_is_init_pool_and_steps_in_the_standardized_space(self, pools):
+        train, test = pools
+        space, space_test = standardize(train, test)
+        afs = ("margin", "alamp-div", "coreset")
+        for af, report in zip(afs, run_strategies(train, test, afs, PLAN, 3)):
+            state, model, record = init_pool(space, PLAN, 3)
+            records = []
+            for k in range(PLAN.iterations):
+                if k:
+                    state, model, record = step(state, model, af, space, 3, PLAN.batch)
+                records.append(dataclasses.replace(
+                    record, accuracy=classifier.accuracy(model, space_test)))
+            meta = RunMeta(af=af, seed=3, total_budget=PLAN.total_budget,
+                           iterations=PLAN.iterations, dataset="dataset", cost_sensitive=True)
+            assert report == Report(meta=meta, records=tuple(records)), af
+
+    def test_space_is_built_once_per_run(self, pools, monkeypatch):
+        train, test = pools
+        calls = count_calls(monkeypatch, engine, "standardize")
+        run_strategies(train, test, AF_NAMES, BudgetPlan(60, 2), 0)
+        assert len(calls) == 1
+
+    def test_row_order_does_not_change_reports(self, pools, tmp_path):
+        # the same rows, shuffled in both sets: the space sorts them by id
+        train, test = pools
+        afs = ("coreset", "alamp-div", "random")
+        for af, a, b in zip(afs, run_strategies(train, test, afs, PLAN, 2),
+                            run_strategies(shuffled(train, 0), shuffled(test, 1), afs, PLAN, 2)):
+            write_report(a, tmp_path / "sorted.json")
+            write_report(b, tmp_path / "shuffled.json")
+            assert ((tmp_path / "sorted.json").read_bytes()
+                    == (tmp_path / "shuffled.json").read_bytes()), af
+
+
+THREADS_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_engine import relu_dataset
+from alamp.dataset import train_test_split
+from alamp.engine import BudgetPlan, run_strategies
+from alamp.metrics import write_report
+train, test = train_test_split(relu_dataset(10, 300, 512, 8, 1.0, 0), 0.2, 1)
+for report in run_strategies(train, test, ("margin", "alamp", "coreset"), BudgetPlan(60, 3), 0):
+    write_report(report, f"{sys.argv[2]}/{report.meta.af}.json")
+"""
+
+
+class TestThreadCountInvariance:
+    def test_relu_reports_match_at_1_and_2_blas_threads(self, tmp_path):
+        # scoring multiplies the whole 2400 x 512 space by the weights in one
+        # product, past the size at which OpenBLAS splits it over threads
+        script = tmp_path / "relu_run.py"
+        script.write_text(THREADS_SCRIPT)
+        outputs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            out.mkdir()
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            subprocess.run([sys.executable, str(script), str(pathlib.Path(__file__).parent),
+                            str(out)], check=True, env=env, timeout=600)
+            outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert sorted(outputs["1"]) == ["alamp.json", "coreset.json", "margin.json"]
+        assert outputs["1"] == outputs["2"]
 
 
 class TestSharedFirstSteps:
