@@ -15,17 +15,17 @@ So no step diverges, on ReLU embeddings too, and where the fixed step
 descent runs in the rows' span (below), else of the (d+1) x (d+1) form.
 
 One descent kernel trains a whole regularization grid jointly, the candidates
-stacked on a leading axis of the parameters. Its margins are one sample-major
-(n, G, C) buffer, so the elementwise passes run over contiguous rows of all G
-candidates' C classes, and each candidate's matrix products reach the buffer
-through transposed views with the shapes a lone fit has. Every model it yields
-is therefore bit-identical to training that candidate on its own; `train` is
-the kernel with a grid of one, and `gradients`/`objective` remain the
-reference formula it is tested against. With fewer rows than dims, descent
-from zero never leaves the rows' span, so the kernel descends on n
-coefficients per class through the n x n Gram matrix instead of on d weights,
-and forms the weights once at the end; the two forms agree in exact
-arithmetic, not bit for bit.
+stacked on a leading axis of the parameters. Its margins are one class-major
+(G, C, n) buffer: one matrix product per candidate fills it, of the shape a
+lone fit has, and the step size, the sample weights and the L2 decay are
+folded into the elementwise hinge pass. Every model it yields is therefore
+bit-identical to training that candidate on its own; `train` is the kernel
+with a grid of one. `gradients`/`objective` remain the reference formula,
+which the kernel matches within rounding, its operations being ordered
+differently. With fewer rows than dims, descent from zero never leaves the
+rows' span, so the kernel descends on n coefficients per class through the
+n x n Gram matrix instead of on d weights, and forms the weights once at the
+end; the two forms agree in exact arithmetic.
 
 A model that is not finite is never used: CV does not select such a
 candidate, and `train` raises `ClassifierError` for one.
@@ -184,24 +184,30 @@ def _step_sizes(z, sample_w, regs, gram=None) -> np.ndarray:
 def _descend(z, targets, sample_w, regs):
     """GD_ITERATIONS full-batch steps from zero for every reg in `regs` at once.
 
-    Each candidate takes the step `_step_sizes` gives it. Candidates sit on a
-    leading axis of the biases (G, C). The margins are sample-major, one
-    (n, G, C) buffer, so the bias add, the elementwise passes and the
-    bias-gradient sum over n run over contiguous rows of G*C values.
+    Each candidate takes the step lr that `_step_sizes` gives it. Candidates
+    sit on a leading axis: biases (G, C), margins class-major in one
+    contiguous (G, C, n) buffer, so the bias add, the elementwise passes and
+    the bias sum over n run along contiguous rows. A step folds everything
+    but the matrix products into the hinge: with coef = -2 lr w y / n and
+    decay = 1 - 2 lr reg, the margins M become coef * max(0, 1 - y M), which
+    is lr times the gradient w.r.t. the margins, and the update is
+    params *= decay, then params -= that gradient carried to the params, and
+    biases -= its sum over n. This is the step `gradients` spells out, with
+    its operations ordered differently, so it agrees with that formula within
+    rounding, not bit for bit.
+
+    Each matrix product is one GEMM per candidate, of the shape a lone fit
+    uses, and every elementwise pass and sum treats each candidate's entries
+    alone, so each candidate's model is bit-identical to descending on it
+    alone.
 
     With at least as many rows as dims, the descent runs on the weights
-    (G, C, d), as `gradients` and the update in `train` spell out, in the
-    same order of floating-point operations. Its two matmuls reach the
-    buffer through transposed views: one GEMM per candidate of the shape a
-    lone fit uses, only with a wider leading dimension, so each candidate's
-    result is bit-identical to descending on it alone.
-
-    With fewer rows than dims, it runs in the rows' span instead: descent
-    from zero keeps W = Aᵀ Z, so it descends on the coefficients A, stored
-    sample-major (n, G, C) like the margins. A step computes the margins
-    K A + b from the Gram matrix K = Z Zᵀ and updates A -= lr (M + 2 reg A),
-    M being the gradient w.r.t. the margins: no d-wide product and no
-    gradient GEMM. The weights are formed once, at the end. In exact
+    W (G, C, d): the margins are W Zᵀ, Zᵀ copied contiguous once, and the
+    gradient is M Z. With fewer rows than dims, it runs in the rows' span
+    instead: descent from zero keeps W = A Z, so it descends on the
+    coefficients A (G, C, n). The margins are A K + b, K = Z Zᵀ being the
+    Gram matrix, and the gradient w.r.t. A is M itself: no d-wide product
+    and no gradient GEMM. The weights are formed once, at the end. In exact
     arithmetic both forms take the same steps.
     """
     regs = np.asarray(regs, dtype=np.float64)
@@ -210,49 +216,37 @@ def _descend(z, targets, sample_w, regs):
     row_space = n < dim
     gram = z @ z.T if row_space else None
     lr = _step_sizes(z, sample_w, regs, gram)
-    shape = (n, n_regs, n_classes)
-    tiled_targets = np.broadcast_to(targets[:, None, :], shape).copy()
-    weighted_targets = np.broadcast_to((sample_w[:, None] * targets)[:, None, :], shape).copy()
-    scale = -2.0 / n
+    targets_t = np.ascontiguousarray(targets.T)                  # (C, n)
+    coef = (lr * (-2.0 / n))[:, None, None] * (sample_w * targets_t)
+    decay = (1.0 - 2.0 * lr * regs)[:, None, None]
 
-    margins = np.empty(shape)
+    margins = np.empty((n_regs, n_classes, n))
     biases = np.zeros((n_regs, n_classes))
-    grad_b = np.empty_like(biases)
-    lr_b = lr[:, None]
-    margins_out = margins.transpose(1, 0, 2)    # (G, n, C)
+    step_b = np.empty_like(biases)
     if row_space:
         basis = gram
-        params = np.zeros(shape)                # A, sample-major
-        params_t = params.transpose(1, 0, 2)    # (G, n, C)
-        lr_p, two_reg = lr_b, (2.0 * regs)[:, None]
-        grad = margins                          # the margin gradient is A's, penalty aside
+        params = np.zeros_like(margins)                          # A
     else:
-        basis = z
-        params = np.zeros((n_regs, n_classes, dim))
-        params_t = params.transpose(0, 2, 1)    # (G, d, C)
-        lr_p, two_reg = lr_b[:, :, None], (2.0 * regs)[:, None, None]
-        grad = np.empty_like(params)
-        margins_t = margins.transpose(1, 2, 0)  # (G, C, n)
-    penalty = np.empty_like(params)
+        basis = np.ascontiguousarray(z.T)                        # (d, n)
+        params = np.zeros((n_regs, n_classes, dim))              # W
+        step = np.empty_like(params)
     for _ in range(GD_ITERATIONS):
-        np.matmul(basis, params_t, out=margins_out)
-        margins += biases
-        # margins becomes the gradient w.r.t. the margins, in place
-        np.multiply(tiled_targets, margins, out=margins)
+        np.matmul(params, basis, out=margins)
+        margins += biases[:, :, None]
+        # margins becomes lr times the gradient w.r.t. the margins, in place
+        margins *= targets_t
         np.subtract(1.0, margins, out=margins)
         np.maximum(0.0, margins, out=margins)
-        margins *= weighted_targets
-        margins *= scale
-        margins.sum(axis=0, out=grad_b)
-        if not row_space:
-            np.matmul(margins_t, z, out=grad)
-        np.multiply(two_reg, params, out=penalty)
-        grad += penalty
-        grad *= lr_p
-        params -= grad
-        grad_b *= lr_b
-        biases -= grad_b
-    weights = np.matmul(params.transpose(1, 2, 0), z) if row_space else params
+        margins *= coef
+        margins.sum(axis=2, out=step_b)
+        params *= decay
+        if row_space:
+            params -= margins
+        else:
+            np.matmul(margins, z, out=step)
+            params -= step
+        biases -= step_b
+    weights = params @ z if row_space else params
     return weights, biases
 
 
@@ -271,7 +265,8 @@ def train(features, labels, class_weights_vec, reg_param: float) -> Model:
     curvature (see `_step_sizes`). With fewer labeled rows than dims the
     descent runs in the rows' span (see `_descend`). Runs the grid kernel
     that `select_reg_param` uses with a grid of one, so a lone fit and a
-    jointly trained candidate agree bit for bit.
+    jointly trained candidate agree bit for bit; both agree with descending
+    on `gradients` within rounding.
 
     Labels must lie in [0, len(class_weights_vec)). Raises ClassifierError
     if the trained model is not finite.

@@ -328,9 +328,19 @@ def assert_close(got, want, rtol):
     assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
+def assert_lone_fits_equal_joint(z, targets, sample_w, regs, weights, biases):
+    """Each jointly trained candidate is the lone `_descend` of its reg, bit
+    for bit."""
+    for g, reg in enumerate(regs):
+        lone_w, lone_b = _descend(z, targets, sample_w, (reg,))
+        assert weights[g].tobytes() == lone_w[0].tobytes()
+        assert biases[g].tobytes() == lone_b[0].tobytes()
+
+
 class TestGridDescent:
-    """The joint grid descent equals separate reference descents: bit for bit
-    with at least as many rows as dims, within rounding in the rows' span."""
+    """The joint grid descent: each candidate equals its lone fit bit for
+    bit, and the reference descent within rounding (1e-12 of the largest
+    entry in the weights, 1e-9 in the rows' span)."""
 
     @pytest.mark.parametrize("per_class", [24, 48])  # n = 311 and n = 631
     def test_grid_matches_reference_per_reg(self, per_class):
@@ -339,10 +349,11 @@ class TestGridDescent:
         z, targets, sample_w = descent_problem(features, labels)
         weights, biases = _descend(z, targets, sample_w, DEFAULT_REG_GRID)
         assert weights.shape == (len(DEFAULT_REG_GRID), 20, 64)
+        assert_lone_fits_equal_joint(z, targets, sample_w, DEFAULT_REG_GRID, weights, biases)
         for g, reg in enumerate(DEFAULT_REG_GRID):
             ref_w, ref_b = reference_descent(z, targets, sample_w, reg)
-            assert weights[g].tobytes() == ref_w.tobytes()
-            assert biases[g].tobytes() == ref_b.tobytes()
+            assert_close(weights[g], ref_w, 1e-12)
+            assert_close(biases[g], ref_b, 1e-12)
 
     # an odd grid with fewer samples than classes, below 7 dims (row space)
     # and above, and a grid of one at n=2
@@ -357,41 +368,53 @@ class TestGridDescent:
         z, targets, sample_w = descent_problem(features, labels, cw)
         weights, biases = _descend(z, targets, sample_w, regs)
         assert weights.shape == (len(regs), n_classes, 7)
+        assert_lone_fits_equal_joint(z, targets, sample_w, regs, weights, biases)
+        rtol = 1e-9 if n < 7 else 1e-12  # the same steps in the rows' span, rounded differently
         for g, reg in enumerate(regs):
             ref_w, ref_b = reference_descent(z, targets, sample_w, reg)
-            if n < 7:  # the same steps in the rows' span, rounded differently
-                assert_close(weights[g], ref_w, 1e-9)
-                assert_close(biases[g], ref_b, 1e-9)
-            else:
-                assert weights[g].tobytes() == ref_w.tobytes()
-                assert biases[g].tobytes() == ref_b.tobytes()
+            assert_close(weights[g], ref_w, rtol)
+            assert_close(biases[g], ref_b, rtol)
 
     def test_train_is_the_one_candidate_grid(self):
         features, labels = skewed_blobs(5, 20, 8, 2)
         cw = class_weights(np.bincount(labels))
         z, targets, sample_w = descent_problem(features, labels, cw)
         model = train(features, labels, cw, 0.1)
+        weights, biases = _descend(z, targets, sample_w, DEFAULT_REG_GRID)
+        g = DEFAULT_REG_GRID.index(0.1)
+        assert model.weights.tobytes() == weights[g].tobytes()
+        assert model.biases.tobytes() == biases[g].tobytes()
         ref_w, ref_b = reference_descent(z, targets, sample_w, 0.1)
-        assert model.weights.tobytes() == ref_w.tobytes()
-        assert model.biases.tobytes() == ref_b.tobytes()
+        assert_close(model.weights, ref_w, 1e-12)
+        assert_close(model.biases, ref_b, 1e-12)
 
     def test_diverging_candidates_leave_finite_neighbours_exact(self):
         # at the fixed step 0.1 / (1 + reg) the three smallest regularizations
-        # diverged here; the curvature bound keeps all five finite and exact
+        # diverged here; the curvature bound keeps all five finite, each equal
+        # to its lone fit and close to the reference
         features, labels = lowrank_relu(10, 100, 512, 8, 0)
         z, targets, sample_w = descent_problem(features, labels)
-        with np.errstate(all="ignore"):
-            weights, biases = _descend(z, targets, sample_w, DEFAULT_REG_GRID)
-            finite = []
-            for g, reg in enumerate(DEFAULT_REG_GRID):
-                ref_w, ref_b = reference_descent(z, targets, sample_w, reg)
-                ok = bool(np.all(np.isfinite(ref_w)) and np.all(np.isfinite(ref_b)))
-                finite.append(ok)
-                assert ok == bool(np.all(np.isfinite(weights[g])) and np.all(np.isfinite(biases[g])))
-                if ok:
-                    assert weights[g].tobytes() == ref_w.tobytes()
-                    assert biases[g].tobytes() == ref_b.tobytes()
-        assert finite == [True] * 5
+        weights, biases = _descend(z, targets, sample_w, DEFAULT_REG_GRID)
+        assert np.all(np.isfinite(weights)) and np.all(np.isfinite(biases))
+        assert_lone_fits_equal_joint(z, targets, sample_w, DEFAULT_REG_GRID, weights, biases)
+        for g, reg in enumerate(DEFAULT_REG_GRID):
+            ref_w, ref_b = reference_descent(z, targets, sample_w, reg)
+            assert_close(weights[g], ref_w, 1e-12)
+            assert_close(biases[g], ref_b, 1e-12)
+
+    # n = 13, 27 and 60 ReLU rows in 512 dims, the row counts of pool-workload CV folds
+    @pytest.mark.parametrize("n", [13, 27, 60])
+    def test_row_space_lone_fit_equals_joint_candidate(self, n):
+        features, labels = lowrank_relu(10, 6, 512, 8, 2)
+        rows = np.argsort(np.arange(60) % 6, kind="stable")[:n]  # classes interleaved
+        features, labels = features[rows], labels[rows]
+        cw = class_weights(np.bincount(labels, minlength=10))
+        z, targets, sample_w = descent_problem(features, labels, cw)
+        weights, biases = _descend(z, targets, sample_w, DEFAULT_REG_GRID)
+        for g, reg in enumerate(DEFAULT_REG_GRID):
+            model = train(features, labels, cw, reg)
+            assert model.weights.tobytes() == weights[g].tobytes()
+            assert model.biases.tobytes() == biases[g].tobytes()
 
     # n = 6, 27 and 60 rows in 512 dims, where the kernel runs in the rows' span
     @pytest.mark.parametrize("n_classes, per_class", [(3, 2), (9, 3), (10, 6)])
