@@ -34,9 +34,17 @@ candidate, and `train` raises `ClassifierError` for one.
 the whole pool is trained; the final fit and every CV fold weight their
 classes by one rule, `_weights` (cost-sensitive, or unit weights).
 
-Cross-validation trains its folds concurrently, one thread per fold: the
-folds are independent, and numpy releases the interpreter lock inside their
-products and array loops. Fold accuracies are reduced in fold order, so the
+Cross-validation trains a small problem's folds in one loop on the calling
+thread, and a larger one's concurrently, one thread per fold. The folds are
+independent, and numpy releases the interpreter lock inside their products
+and array loops; but in a small fit each numpy call takes a few µs, so fold
+threads mostly hand the lock back and forth, and a loop is about twice as
+fast. The size is candidates x classes x CV rows, and threads start at
+THREADED_CV_SIZE. On a 2-vCPU machine, at 1 and 2 BLAS threads, fold threads
+overtake the loop between 9k and 20k. Threads start below that range, at 8k:
+near the crossover the loop gains little, and a run whose fits grow across
+it may lose more than that in its later threaded fits. Either way each fold
+runs the same code and fold accuracies are reduced in fold order, so the
 chosen regularization is the one a serial loop picks.
 
 Models fit and score the features they are given, with no scaler of their
@@ -72,6 +80,8 @@ __all__ = [
 GD_ITERATIONS = 500
 DEFAULT_REG_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
 FALLBACK_REG = 0.1  # when too few classes can be stratified for CV
+# candidates x classes x CV rows from which CV folds train one thread each
+THREADED_CV_SIZE = 2 ** 13
 
 
 class ClassifierError(ValueError):
@@ -301,13 +311,16 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
     Each fold weights its training part by `_weights`, as `fit` does.
 
     The whole grid is trained on each fold jointly by the descent kernel;
-    every candidate's model is bit-identical to a separate `train` call. The
-    folds train concurrently, one thread each, in copies of the caller's
-    context (so `np.errstate` and `np.seterrcall` apply inside them). Their
-    accuracies are reduced in fold order, and a failure raises the error of
-    the lowest failing fold, as a serial loop would. A candidate whose model
-    is not finite in some fold cannot be selected, and if none is left,
-    ClassifierError is raised. Ties go to the smallest candidate.
+    every candidate's model is bit-identical to a separate `train` call.
+    Below THREADED_CV_SIZE (candidates x classes x CV rows) the folds train
+    in one loop on the calling thread, in fold order, and a failing fold
+    raises before the next one starts. From that size on they train
+    concurrently, one thread each, in copies of the caller's context (so
+    `np.errstate` and `np.seterrcall` apply inside them), and a failure
+    raises the error of the lowest failing fold once every fold has ended.
+    Either way the accuracies are reduced in fold order. A candidate whose
+    model is not finite in some fold cannot be selected, and if none is
+    left, ClassifierError is raised. Ties go to the smallest candidate.
     Folds are reduced to the smallest class count when a class is too small.
     """
     features = np.asarray(features, dtype=np.float64)
@@ -337,11 +350,15 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
         preds = np.argmax(features[va] @ weights.transpose(0, 2, 1) + biases[:, None, :], axis=2)
         return np.where(finite, np.mean(preds == labels[va], axis=1), np.nan)
 
-    with ThreadPoolExecutor(max_workers=folds) as executor:
-        futures = [executor.submit(contextvars.copy_context().run, fold_accuracies, f)
-                   for f in range(folds)]
-    # result() re-raises a fold's error: read in fold order, the lowest wins
-    fold_accs = np.stack([future.result() for future in futures], axis=1)
+    if len(grid) * n_classes * len(labels) < THREADED_CV_SIZE:
+        fold_accs = [fold_accuracies(f) for f in range(folds)]
+    else:
+        with ThreadPoolExecutor(max_workers=folds) as executor:
+            futures = [executor.submit(contextvars.copy_context().run, fold_accuracies, f)
+                       for f in range(folds)]
+        # result() re-raises a fold's error: read in fold order, the lowest wins
+        fold_accs = [future.result() for future in futures]
+    fold_accs = np.stack(fold_accs, axis=1)
     # a candidate that is not finite in some fold has a NaN mean: never selected
     mean_accs = np.nan_to_num(fold_accs.mean(axis=1), nan=-1.0)
     if mean_accs.max() < 0:

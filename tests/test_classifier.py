@@ -316,6 +316,11 @@ def per_reg_select_reg_param(features, labels, grid, folds=3, seed=0):
     return best_reg
 
 
+def cv_size(labels, grid=DEFAULT_REG_GRID):
+    """The size `select_reg_param` compares with THREADED_CV_SIZE."""
+    return len(grid) * (int(labels.max()) + 1) * len(labels)
+
+
 def descent_problem(features, labels, cw=None):
     """The features, targets and sample weights a fit hands `_descend`."""
     if cw is None:
@@ -479,9 +484,11 @@ class TestGridDescent:
             assert np.array_equal(lr, 0.1 / (1.0 + grid))
 
     @pytest.mark.parametrize("folds", [2, 3])
-    @pytest.mark.parametrize("per_class", [9, 36])
+    @pytest.mark.parametrize("per_class", [6, 9, 36])
     def test_select_reg_param_matches_per_reg_loop(self, folds, per_class):
         features, labels = skewed_blobs(20, per_class, 64, 4)
+        # 71 rows train their folds in one loop, 111 and 471 rows on fold threads
+        assert (cv_size(labels) >= classifier.THREADED_CV_SIZE) == (per_class != 6)
         for seed in (0, 7):
             got = select_reg_param(features, labels, DEFAULT_REG_GRID, folds, seed)
             assert got == per_reg_select_reg_param(features, labels,
@@ -493,8 +500,9 @@ class TestGridDescent:
             got = select_reg_param(features, labels)
             assert got == per_reg_select_reg_param(features, labels, DEFAULT_REG_GRID)
 
-    def test_caller_errstate_reaches_every_fold(self, monkeypatch):
-        # the folds train on worker threads; np.errstate is per context
+    @pytest.mark.parametrize("per_class", [12, 40])
+    def test_caller_errstate_reaches_every_fold(self, monkeypatch, per_class):
+        # threaded folds run in copies of the caller's context, where np.errstate lives
         descend = classifier._descend
 
         def dividing_descend(*args):
@@ -502,7 +510,9 @@ class TestGridDescent:
             return descend(*args)
 
         monkeypatch.setattr(classifier, "_descend", dividing_descend)
-        features, labels = lowrank_relu(10, 12, 512, 8, 0)
+        features, labels = lowrank_relu(10, per_class, 512, 8, 0)
+        # 120 rows train their folds in one loop, 400 rows on fold threads
+        assert (cv_size(labels) >= classifier.THREADED_CV_SIZE) == (per_class == 40)
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
             select_reg_param(features, labels)
         divisions = []
@@ -511,7 +521,8 @@ class TestGridDescent:
         assert divisions == ["divide by zero"] * 3
 
     def test_folds_train_at_once(self, monkeypatch):
-        features, labels = lowrank_relu(10, 12, 512, 8, 0)
+        features, labels = lowrank_relu(10, 40, 512, 8, 0)
+        assert cv_size(labels) >= classifier.THREADED_CV_SIZE
         barrier = threading.Barrier(3, timeout=20)
         threads = set()
 
@@ -525,6 +536,33 @@ class TestGridDescent:
         select_reg_param(features, labels)
         assert len(threads) == 3
 
+    def test_small_folds_train_in_turn_on_the_calling_thread(self, monkeypatch):
+        features, labels = lowrank_relu(10, 12, 512, 8, 0)
+        assert cv_size(labels) < classifier.THREADED_CV_SIZE
+        assignment = _stratified_folds(labels, 3, 0)
+        calls = []
+
+        def descend(z, targets, sample_w, regs):
+            calls.append((threading.get_ident(), z))
+            shape = (len(regs), targets.shape[1])
+            return np.zeros(shape + (z.shape[1],)), np.zeros(shape)
+
+        monkeypatch.setattr(classifier, "_descend", descend)
+        select_reg_param(features, labels)
+        assert [ident for ident, _ in calls] == [threading.get_ident()] * 3
+        for f, (_, z) in enumerate(calls):
+            assert np.array_equal(z, features[assignment != f])
+
+        def failing_descend(z, targets, sample_w, regs):
+            calls.append(z)
+            raise ClassifierError("fold failed")
+
+        calls.clear()
+        monkeypatch.setattr(classifier, "_descend", failing_descend)
+        with pytest.raises(ClassifierError, match="fold failed"):
+            select_reg_param(features, labels)
+        assert len(calls) == 1  # fold 1 never started
+
     def test_non_finite_features_rejected(self):
         d = make_synthetic(3, 10, 4, 0.5, 0)
         features = d.features.copy()
@@ -533,7 +571,7 @@ class TestGridDescent:
             select_reg_param(features, d.labels)
 
     def test_non_positive_candidate_rejected(self):
-        # the fold threads raise the error a serial loop raises, unwrapped
+        # CV raises the error a lone fit raises, unwrapped
         d = make_synthetic(3, 10, 4, 0.5, 0)
         with pytest.raises(ClassifierError) as serial:
             train(d.features, d.labels, np.ones(3), 0.0)
