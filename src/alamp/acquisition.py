@@ -73,8 +73,11 @@ def alamp_scores(prev, curr) -> np.ndarray:
 
 
 def random_select(pool_ids, batch: int, seed: int) -> np.ndarray:
-    """Uniform sample without replacement, deterministic per seed."""
+    """Uniform sample without replacement from distinct ids, deterministic
+    per seed."""
     pool = np.sort(np.asarray(pool_ids, dtype=np.int64))
+    if np.any(pool[1:] == pool[:-1]):
+        raise AcquisitionError("pool ids must be distinct")
     _check_batch(batch, len(pool))
     rng = np.random.default_rng(seed)
     return rng.choice(pool, size=batch, replace=False)

@@ -30,9 +30,9 @@ end; the two forms agree in exact arithmetic.
 A model that is not finite is never used: CV does not select such a
 candidate, and `train` raises `ClassifierError` for one.
 
-`fit` turns a labeled pool into a model: CV picks the regularization, then
-the whole pool is trained; the final fit and every CV fold weight their
-classes by one rule, `_weights` (cost-sensitive, or unit weights).
+`fit` turns labeled rows of a run's space into a model: CV picks the
+regularization, then the rows are trained; the final fit and every CV fold
+weight their classes by one rule, `_weights` (cost-sensitive, or unit weights).
 
 Cross-validation trains a small problem's folds in one loop on the calling
 thread, and a larger one's concurrently, one thread per fold. The folds are
@@ -367,20 +367,21 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
     return grid[int(np.argmax(mean_accs))]
 
 
-def fit(pool, cost_sensitive: bool, seed: int) -> Model:
-    """Train from scratch on a labeled `Dataset`, with freshly CV'd regularization.
+def fit(space, rows, cost_sensitive: bool, seed: int) -> Model:
+    """Train from scratch on `rows` of `space`, in order, with freshly CV'd regularization.
 
     Classes with fewer than 2 samples cannot be stratified, so CV runs on the
     remaining classes; if fewer than 2 classes qualify, FALLBACK_REG is used.
     """
-    counts = pool.class_counts()
-    cv_ok = counts[pool.labels] >= 2
+    features, labels = space.features[rows], space.labels[rows]
+    counts = np.bincount(labels, minlength=space.n_classes)
+    cv_ok = counts[labels] >= 2
     if np.count_nonzero(counts >= 2) >= 2:
-        reg = select_reg_param(pool.features[cv_ok], pool.labels[cv_ok], DEFAULT_REG_GRID,
+        reg = select_reg_param(features[cv_ok], labels[cv_ok], DEFAULT_REG_GRID,
                                folds=3, seed=seed, cost_sensitive=cost_sensitive)
     else:
         reg = FALLBACK_REG
-    return train(pool.features, pool.labels, _weights(counts, cost_sensitive), reg)
+    return train(features, labels, _weights(counts, cost_sensitive), reg)
 
 
 def decision_values(model: Model, features) -> np.ndarray:

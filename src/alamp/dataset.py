@@ -1,8 +1,9 @@
 """Embedding datasets: CSV I/O, synthetic generation, imbalance tooling.
 
-A dataset is a dense feature matrix with one integer class label per row.
-Sample ids are stable: any subsetting operation keeps the original ids, so
-selections made on a derived dataset can be traced back to the source rows.
+A dataset is a dense feature matrix with one integer class label per row,
+its rows in strictly ascending sample-id order, so `rows_for` is one binary
+search. Sample ids are stable: `subset` keeps the original ids, so selections
+made on a derived dataset can be traced back to the source rows.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class Dataset:
 
     features: (n_samples, dim) float64, all finite
     labels: (n_samples,) int64 in [0, n_classes)
-    sample_ids: (n_samples,) int64, unique, preserved by subsetting
+    sample_ids: (n_samples,) int64, strictly ascending, preserved by subsetting
     """
 
     features: np.ndarray
@@ -64,8 +65,8 @@ class Dataset:
             raise DatasetError("labels must lie in [0, n_classes)")
         if ids.shape != (feats.shape[0],):
             raise DatasetError("sample_ids must align with feature rows")
-        if len(np.unique(ids)) != len(ids):
-            raise DatasetError("sample_ids must be unique")
+        if np.any(ids[1:] <= ids[:-1]):
+            raise DatasetError("sample_ids must be strictly ascending")
         feats.setflags(write=False)
         labels.setflags(write=False)
         ids.setflags(write=False)
@@ -79,17 +80,19 @@ class Dataset:
         return self.features.shape[1]
 
     def rows_for(self, sample_ids) -> np.ndarray:
-        """Row positions of the given sample ids (error on unknown ids)."""
+        """Row positions of the given sample ids, in request order; the error
+        names the first unknown id in request order."""
         wanted = np.asarray(sample_ids, dtype=np.int64).ravel()
-        unknown = ~np.isin(wanted, self.sample_ids)
-        if unknown.any():
-            raise DatasetError(f"unknown sample_id {int(wanted[unknown][0])}")
-        order = np.argsort(self.sample_ids)
-        return order[np.searchsorted(self.sample_ids, wanted, sorter=order)]
+        rows = np.searchsorted(self.sample_ids, wanted)
+        found = self.sample_ids[np.minimum(rows, self.n_samples - 1)] == wanted
+        if not found.all():
+            raise DatasetError(f"unknown sample_id {int(wanted[np.argmin(found)])}")
+        return rows
 
     def subset(self, sample_ids) -> "Dataset":
-        """New Dataset restricted to the given ids; ids are preserved."""
-        rows = self.rows_for(sample_ids)
+        """New Dataset of the given ids' rows, in id order whatever the order
+        of the request; ids are preserved."""
+        rows = np.sort(self.rows_for(sample_ids))
         return Dataset(
             features=self.features[rows],
             labels=self.labels[rows],
@@ -227,33 +230,30 @@ def train_test_split(dataset: Dataset, test_fraction: float, seed: int):
     rng = np.random.default_rng(seed)
     test_ids = []
     for cls in range(dataset.n_classes):
-        ids = np.sort(dataset.sample_ids[dataset.labels == cls])
+        ids = dataset.sample_ids[dataset.labels == cls]
         n_test = int(np.clip(round(test_fraction * len(ids)), 1, len(ids) - 1))
         test_ids.append(rng.choice(ids, size=n_test, replace=False))
-    test_ids = np.sort(np.concatenate(test_ids))
+    test_ids = np.concatenate(test_ids)
     train_ids = np.setdiff1d(dataset.sample_ids, test_ids)
     return dataset.subset(train_ids), dataset.subset(test_ids)
 
 
 def standardize(train: Dataset, test: Dataset):
-    """A run's feature space: `(train, test)`, each sorted by id, centred and
+    """A run's feature space: `(train, test)`, same ids and labels, centred and
     scaled per dimension by the training pool's mean and std (scale 1 for a
-    constant dimension). The sorted copy is first shifted by its first row,
-    so a constant dimension is exactly 0 whatever rounding its mean takes."""
-    order = np.argsort(train.sample_ids)
-    z = train.features[order]
-    mean = z[0].copy()
-    z -= mean
+    constant dimension). The pool is first shifted by its first row, so a
+    constant dimension is exactly 0 whatever rounding its mean takes."""
+    mean = train.features[0].copy()
+    z = train.features - mean
     centre = z.mean(axis=0)
     z -= centre
     mean += centre
     std = np.sqrt(np.einsum("ij,ij->j", z, z) / len(z))
     scale = np.where(std > 0, std, 1.0)
     z /= scale
-    test_order = np.argsort(test.sample_ids)
-    return (Dataset(z, train.labels[order], train.n_classes, train.sample_ids[order]),
-            Dataset((test.features[test_order] - mean) / scale, test.labels[test_order],
-                    test.n_classes, test.sample_ids[test_order]))
+    return (Dataset(z, train.labels, train.n_classes, train.sample_ids),
+            Dataset((test.features - mean) / scale, test.labels, test.n_classes,
+                    test.sample_ids))
 
 
 def imbalance_ratio(counts) -> float:
@@ -315,7 +315,5 @@ def induce_imbalance(dataset: Dataset, target_ir: float, min_per_class: int,
     keep = []
     for pos, cls in enumerate(perm):
         ids_in_class = dataset.sample_ids[dataset.labels == cls]
-        chosen = rng.choice(np.sort(ids_in_class), size=int(counts[pos]), replace=False)
-        keep.append(chosen)
-    keep_ids = np.sort(np.concatenate(keep))
-    return dataset.subset(keep_ids)
+        keep.append(rng.choice(ids_in_class, size=int(counts[pos]), replace=False))
+    return dataset.subset(np.concatenate(keep))

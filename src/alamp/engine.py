@@ -16,7 +16,7 @@ import numpy as np
 
 from . import acquisition, classifier
 from .classifier import Model
-from .dataset import Dataset, imbalance_ratio, standardize
+from .dataset import Dataset, standardize
 from .metrics import IterationRecord, Report, RunMeta
 
 __all__ = [
@@ -94,12 +94,12 @@ def _step_seed(seed: int, k: int) -> int:
     return int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
 
 
-def _record(k: int, pool: Dataset, selected: np.ndarray) -> IterationRecord:
-    """Record of iteration k whose labeled pool is `pool`; the caller, which
-    owns the test set, fills in accuracy."""
-    counts = pool.class_counts()
-    return IterationRecord(iteration=k, labeled_count=pool.n_samples, accuracy=float("nan"),
-                           class_counts=tuple(counts.tolist()), ir=imbalance_ratio(counts),
+def _record(k: int, train: Dataset, rows: np.ndarray, selected: np.ndarray) -> IterationRecord:
+    """Record of iteration k whose labeled pool is `rows` of `train`; the
+    caller, which owns the test set, fills in accuracy."""
+    counts = np.bincount(train.labels[rows], minlength=train.n_classes)
+    return IterationRecord(iteration=k, accuracy=float("nan"),
+                           class_counts=tuple(counts.tolist()),
                            selected_ids=tuple(selected.tolist()))
 
 
@@ -116,15 +116,15 @@ def init_pool(train: Dataset, plan: BudgetPlan, seed: int,
     for attempt in range(10):
         labeled = acquisition.random_select(train.sample_ids, plan.batch,
                                             seed + attempt)
-        pool = train.subset(labeled)
-        if len(np.unique(pool.labels)) >= 2:
+        rows = train.rows_for(labeled)
+        if len(np.unique(train.labels[rows])) >= 2:
             break
     else:
         raise EngineError("initial batch covered fewer than 2 classes in 10 draws")
     unlabeled = np.setdiff1d(train.sample_ids, labeled)
-    model = classifier.fit(pool, cost_sensitive, _step_seed(seed, 0))
+    model = classifier.fit(train, rows, cost_sensitive, _step_seed(seed, 0))
     state = PoolState(labeled_ids=labeled, unlabeled_ids=unlabeled, iteration=0)
-    return state, model, _record(0, pool, labeled)
+    return state, model, _record(0, train, rows, labeled)
 
 
 def _select(state: PoolState, model: Model, af: str, train: Dataset, batch: int,
@@ -144,15 +144,15 @@ def _select(state: PoolState, model: Model, af: str, train: Dataset, batch: int,
     if af == "random":
         return acquisition.random_select(unlabeled, batch, seed), None, None
 
-    ids = train.sample_ids
     if af == "coreset":
-        labeled = np.searchsorted(ids, state.labeled_ids)
-        return ids[acquisition.coreset_select(train.features, labeled, batch)], None, None
+        labeled = train.rows_for(state.labeled_ids)
+        picks = acquisition.coreset_select(train.features, labeled, batch)
+        return train.sample_ids[picks], None, None
 
     # alamp and alamp-div rank by the shift from the previous model's
     # margins, and alamp-div spreads over its pseudo classes.
     probs = classifier.predict_proba(model, train.features)
-    rows = np.searchsorted(ids, unlabeled)
+    rows = train.rows_for(unlabeled)
     margins = acquisition.margin_scores(probs)[rows]
     pseudo = acquisition.pseudo_classes(probs)[rows]
     if af == "rand-div":
@@ -173,9 +173,10 @@ def step(state: PoolState, model: Model, af: str, train: Dataset, seed: int,
          batch: int, cost_sensitive: bool = True):
     """One protocol iteration: score if the rule reads scores, select, label, retrain.
 
-    `train` is the run's feature space, in id order. Returns the new pool
-    state, the retrained model, and a record of the selection (test accuracy
-    is filled in by the caller, which owns the test set).
+    `train` is the run's feature space, whose labeled rows are retrained on
+    in labeling order. Returns the new pool state, the retrained model, and a
+    record of the selection (the caller, which owns the test set, fills in
+    test accuracy).
     """
     if af not in AF_NAMES:
         raise EngineError(f"unknown acquisition function {af!r}")
@@ -183,8 +184,6 @@ def step(state: PoolState, model: Model, af: str, train: Dataset, seed: int,
         raise EngineError("batch size must be >= 1")
     if len(state.unlabeled_ids) < batch:
         raise EngineError("unlabeled pool exhausted")
-    if np.any(train.sample_ids[1:] <= train.sample_ids[:-1]):
-        raise EngineError("train rows must be in ascending id order")
     k = state.iteration + 1
     step_seed = _step_seed(seed, k)
     selected, margins, pseudo = _select(state, model, af, train, batch, step_seed)
@@ -195,8 +194,9 @@ def step(state: PoolState, model: Model, af: str, train: Dataset, seed: int,
     new_labeled = np.concatenate([state.labeled_ids, selected])
     new_state = PoolState(labeled_ids=new_labeled, unlabeled_ids=state.unlabeled_ids[keep],
                           iteration=k, prev_margins=margins, prev_pseudo=pseudo)
-    pool = train.subset(new_labeled)
-    return new_state, classifier.fit(pool, cost_sensitive, step_seed), _record(k, pool, selected)
+    rows = train.rows_for(new_labeled)
+    return (new_state, classifier.fit(train, rows, cost_sensitive, step_seed),
+            _record(k, train, rows, selected))
 
 
 def run_strategies(train: Dataset, test: Dataset, afs, plan: BudgetPlan,

@@ -7,6 +7,8 @@ import json
 
 import numpy as np
 
+from .dataset import imbalance_ratio
+
 __all__ = [
     "RunMeta",
     "IterationRecord",
@@ -33,12 +35,21 @@ class RunMeta:
 
 @dataclasses.dataclass(frozen=True)
 class IterationRecord:
+    """One iteration of a run; the labeled pool's size and imbalance ratio
+    are derived from its class counts."""
+
     iteration: int
-    labeled_count: int
     accuracy: float
     class_counts: tuple
-    ir: float
     selected_ids: tuple
+
+    @property
+    def labeled_count(self) -> int:
+        return sum(self.class_counts)
+
+    @property
+    def ir(self) -> float:
+        return imbalance_ratio(self.class_counts)
 
 
 REPORT_FORMATS = ("csv", "json")
@@ -120,7 +131,8 @@ def write_report(report: Report, path, format: str = "json") -> None:
 
 
 def read_report(path) -> Report:
-    """Inverse of write_report(format='json')."""
+    """Inverse of write_report(format='json'); raises ValueError when a
+    record's `labeled` or `ir` disagrees with its `class_counts`."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     meta = RunMeta(
@@ -131,9 +143,15 @@ def read_report(path) -> Report:
         dataset=payload["meta"]["dataset"],
         cost_sensitive=payload["meta"]["cost_sensitive"],
     )
-    records = (IterationRecord(**{field: tuple(r[key]) if isinstance(r[key], list) else r[key]
-                                  for key, field in _RECORD_KEYS})
-               for r in payload["records"])
+    records = []
+    for r in payload["records"]:
+        record = IterationRecord(iteration=r["k"], accuracy=r["acc"],
+                                 class_counts=tuple(r["class_counts"]),
+                                 selected_ids=tuple(r["selected"]))
+        if (r["labeled"], r["ir"]) != (record.labeled_count, record.ir):
+            raise ValueError(f"record k={r['k']}: labeled {r['labeled']} and ir {r['ir']} "
+                             f"disagree with class_counts {r['class_counts']}")
+        records.append(record)
     return Report(meta=meta, records=records)
 
 

@@ -102,6 +102,11 @@ class TestRandomSelect:
         sel = random_select(range(50), 25, 7)
         assert len(set(sel.tolist())) == 25
 
+    def test_repeated_pool_id_rejected(self):
+        # seed 1 would draw id 1 twice from this pool
+        with pytest.raises(AcquisitionError, match="^pool ids must be distinct$"):
+            random_select([1, 1, 2], 2, 1)
+
 
 SELECTIONS = {
     "random_select": lambda batch: random_select([0, 1, 2, 3], batch, 0),

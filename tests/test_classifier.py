@@ -204,9 +204,11 @@ class TestSelectRegParam:
 
 
 def labeled_pool(labels):
+    """A space of the given labels, and all of its rows."""
     features = np.random.default_rng(0).normal(size=(len(labels), 2))
-    return Dataset(features=features, labels=labels, n_classes=max(labels) + 1,
-                   sample_ids=np.arange(len(labels)))
+    space = Dataset(features=features, labels=labels, n_classes=max(labels) + 1,
+                    sample_ids=np.arange(len(labels)))
+    return space, np.arange(len(labels))
 
 
 class TestFit:
@@ -223,14 +225,14 @@ class TestFit:
 
     def test_no_two_stratifiable_classes_falls_back(self, cv_calls):
         # only class 2 has the 2 samples a stratified fold needs
-        model = fit(labeled_pool([0, 1, 2, 2]), True, 3)
+        model = fit(*labeled_pool([0, 1, 2, 2]), True, 3)
         assert cv_calls == []
         assert model.reg_param == 0.1
         assert model.n_classes == 3
 
     def test_cv_skips_classes_below_two_samples(self, cv_calls):
-        pool = labeled_pool([0, 0, 1, 1, 2])
-        model = fit(pool, True, 7)
+        pool, rows = labeled_pool([0, 0, 1, 1, 2])
+        model = fit(pool, rows, True, 7)
         [(args, kwargs)] = cv_calls
         assert np.array_equal(args[0], pool.features[:4])
         assert args[1].tolist() == [0, 0, 1, 1]
@@ -254,8 +256,22 @@ class TestFit:
 
         monkeypatch.setattr(classifier, "_descend", final_fit_diverges)
         with pytest.raises(ClassifierError, match="diverged"):
-            fit(labeled_pool([0, 0, 1, 1, 2, 2]), True, 0)
+            fit(*labeled_pool([0, 0, 1, 1, 2, 2]), True, 0)
         assert len(cv_calls) == 1
+
+    def test_trains_the_rows_in_the_order_given(self, cv_calls):
+        # rows of a larger space, out of id order: CV and the final fit see
+        # exactly those rows, in that order
+        space, _ = labeled_pool([0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2])
+        rows = np.array([7, 0, 9, 4, 2, 10, 3, 5])
+        model = fit(space, rows, True, 5)
+        [(args, kwargs)] = cv_calls
+        assert np.array_equal(args[0], space.features[rows])
+        assert np.array_equal(args[1], space.labels[rows])
+        expected = train(space.features[rows], space.labels[rows],
+                         class_weights(np.bincount(space.labels[rows])), model.reg_param)
+        assert model.weights.tobytes() == expected.weights.tobytes()
+        assert model.biases.tobytes() == expected.biases.tobytes()
 
 
 def lowrank_relu(n_classes, per_class, dim, rank, seed):

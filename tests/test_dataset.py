@@ -263,13 +263,15 @@ class TestDatasetInvariants:
             d.subset([999])
 
     def test_rows_for_non_ascending_ids(self):
+        # rows come back in request order
         sub = make_synthetic(3, 10, 2, 0.2, 0).subset([17, 5, 22])
-        assert list(sub.rows_for([22, 17])) == [2, 0]
-        assert list(sub.rows_for([5, 22, 17])) == [1, 2, 0]
+        assert list(sub.sample_ids) == [5, 17, 22]
+        assert list(sub.rows_for([22, 17])) == [2, 1]
+        assert list(sub.rows_for([5, 22, 17])) == [0, 2, 1]
 
     @pytest.mark.parametrize("unknown", [4, 23, 10])  # below min, above max, in a gap
     def test_rows_for_unknown_id_rejected(self, unknown):
-        sub = make_synthetic(3, 10, 2, 0.2, 0).subset([17, 5, 22])
+        sub = make_synthetic(3, 10, 2, 0.2, 0).subset([5, 17, 22])
         with pytest.raises(DatasetError, match=f"unknown sample_id {unknown}$"):
             sub.rows_for([22, unknown, 5])
 
@@ -279,9 +281,57 @@ class TestDatasetInvariants:
                     n_classes=2, sample_ids=np.array([0, 1]))
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(DatasetError):
+        with pytest.raises(DatasetError, match="^sample_ids must be strictly ascending$"):
             Dataset(features=np.zeros((2, 1)), labels=np.array([0, 1]),
                     n_classes=2, sample_ids=np.array([0, 0]))
+
+
+def ascending_ids():
+    """At least two strictly ascending ids, with gaps, some negative."""
+    return st.lists(st.integers(-1000, 1000), min_size=2, max_size=40, unique=True).map(sorted)
+
+
+def dataset_of(ids):
+    n = len(ids)
+    return Dataset(features=np.arange(2.0 * n).reshape(n, 2), labels=np.arange(n) % 2,
+                   n_classes=2, sample_ids=np.array(ids))
+
+
+class TestAscendingIds:
+    @given(ids=ascending_ids(), data=st.data())
+    def test_rows_for_is_a_lookup_in_request_order(self, ids, data):
+        wanted = data.draw(st.lists(st.sampled_from(ids), max_size=60))
+        row_of = {i: row for row, i in enumerate(ids)}
+        assert dataset_of(ids).rows_for(wanted).tolist() == [row_of[i] for i in wanted]
+
+    @given(ids=ascending_ids(), data=st.data())
+    def test_rows_for_names_the_first_unknown_id(self, ids, data):
+        # unknown ids below the smallest, above the largest and in the gaps
+        known = st.sampled_from(ids)
+        unknown = st.integers(-1100, 1100).filter(lambda i: i not in ids)
+        first = data.draw(unknown)
+        wanted = (data.draw(st.lists(known, max_size=20)) + [first]
+                  + data.draw(st.lists(known | unknown, max_size=20)))
+        with pytest.raises(DatasetError, match=f"^unknown sample_id {first}$"):
+            dataset_of(ids).rows_for(wanted)
+
+    @given(ids=ascending_ids(), data=st.data())
+    def test_subset_ignores_request_order(self, ids, data):
+        d = dataset_of(ids)
+        picked = data.draw(st.lists(st.sampled_from(ids), min_size=2, unique=True))
+        a, b = d.subset(sorted(picked)), d.subset(picked)
+        assert a.sample_ids.tolist() == sorted(picked)
+        for field in ("features", "labels", "sample_ids"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
+    @given(ids=ascending_ids(), data=st.data())
+    def test_descending_or_repeated_ids_rejected(self, ids, data):
+        i = data.draw(st.integers(0, len(ids) - 2))
+        swapped = ids[:i] + [ids[i + 1], ids[i]] + ids[i + 2:]
+        repeated = ids[:i] + [ids[i], ids[i]] + ids[i + 2:]
+        for bad in (swapped, repeated):
+            with pytest.raises(DatasetError, match="strictly ascending"):
+                dataset_of(bad)
 
 
 class TestTrainTestSplit:
@@ -309,13 +359,6 @@ class TestTrainTestSplit:
             train_test_split(d, 0.3, 0)
 
 
-def shuffled(d, seed):
-    """The same rows in a random order."""
-    perm = np.random.default_rng(seed).permutation(d.n_samples)
-    return Dataset(features=d.features[perm], labels=d.labels[perm],
-                   n_classes=d.n_classes, sample_ids=d.sample_ids[perm])
-
-
 class TestStandardize:
     @pytest.fixture
     def pools(self):
@@ -326,8 +369,8 @@ class TestStandardize:
         for d, value in ((train, 0.1), (test, 4.0)):
             features = d.features.copy()
             features[:, 2] = value
-            constant.append(shuffled(Dataset(features=features, labels=d.labels,
-                                             n_classes=3, sample_ids=d.sample_ids), 1))
+            constant.append(Dataset(features=features, labels=d.labels, n_classes=3,
+                                    sample_ids=d.sample_ids))
         return tuple(constant)
 
     def test_pool_has_mean_zero_and_unit_std(self, pools):
@@ -345,19 +388,12 @@ class TestStandardize:
         _, space_test = standardize(train, test)
         mean, std = train.features.mean(axis=0), train.features.std(axis=0)
         scale = np.where(np.ptp(train.features, axis=0) > 0, std, 1.0)
-        order = np.argsort(test.sample_ids)
-        assert np.allclose(space_test.features, (test.features[order] - mean) / scale,
+        assert np.allclose(space_test.features, (test.features - mean) / scale,
                            rtol=1e-12, atol=1e-12)
 
     def test_rows_come_back_in_id_order(self, pools):
+        # the rows of each set stay where they were: ids and labels unchanged
         for before, after in zip(pools, standardize(*pools)):
-            order = np.argsort(before.sample_ids)
-            assert np.array_equal(after.sample_ids, np.sort(before.sample_ids))
-            assert np.array_equal(after.labels, before.labels[order])
+            assert np.array_equal(after.sample_ids, before.sample_ids)
+            assert np.array_equal(after.labels, before.labels)
             assert after.n_classes == before.n_classes
-
-    def test_row_order_does_not_change_the_space(self, pools):
-        a = standardize(*pools)
-        b = standardize(shuffled(pools[0], 2), shuffled(pools[1], 3))
-        for x, y in zip(a, b):
-            assert x.features.tobytes() == y.features.tobytes()

@@ -11,6 +11,7 @@ import pytest
 from alamp import acquisition, classifier, engine
 from alamp.dataset import (
     Dataset,
+    DatasetError,
     induce_imbalance,
     make_synthetic,
     standardize,
@@ -27,7 +28,6 @@ from alamp.engine import (
     step,
 )
 from alamp.metrics import Report, RunMeta, write_report
-from test_dataset import shuffled
 
 
 @pytest.fixture(scope="module")
@@ -184,13 +184,12 @@ class TestStep:
             step(state, model, af, train, 0, batch)
 
     def test_train_not_in_id_order_rejected(self, pools):
-        # a step reads rows by position, which ranks ids only in id order
+        # a step reads rows by position, which ranks ids only in id order: a
+        # space in any other order is not a Dataset at all
         train, _ = pools
-        state, model, _ = init_pool(train, PLAN, 0)
-        flipped = Dataset(features=train.features[::-1], labels=train.labels[::-1],
-                          n_classes=train.n_classes, sample_ids=train.sample_ids[::-1])
-        with pytest.raises(EngineError, match="ascending id order"):
-            step(state, model, "coreset", flipped, 0, PLAN.batch)
+        with pytest.raises(DatasetError, match="strictly ascending"):
+            Dataset(features=train.features[::-1], labels=train.labels[::-1],
+                    n_classes=train.n_classes, sample_ids=train.sample_ids[::-1])
 
 
 class TestPoolStateChecks:
@@ -382,17 +381,6 @@ class TestFeatureSpace:
         run_strategies(train, test, AF_NAMES, BudgetPlan(60, 2), 0)
         assert len(calls) == 1
 
-    def test_row_order_does_not_change_reports(self, pools, tmp_path):
-        # the same rows, shuffled in both sets: the space sorts them by id
-        train, test = pools
-        afs = ("coreset", "alamp-div", "random")
-        for af, a, b in zip(afs, run_strategies(train, test, afs, PLAN, 2),
-                            run_strategies(shuffled(train, 0), shuffled(test, 1), afs, PLAN, 2)):
-            write_report(a, tmp_path / "sorted.json")
-            write_report(b, tmp_path / "shuffled.json")
-            assert ((tmp_path / "sorted.json").read_bytes()
-                    == (tmp_path / "shuffled.json").read_bytes()), af
-
 
 THREADS_SCRIPT = """
 import sys
@@ -481,7 +469,7 @@ class TestCostSensitivity:
             return chosen[-1]
 
         monkeypatch.setattr(classifier, "select_reg_param", recording_select)
-        model = classifier.fit(pool, False, 11)
+        model = classifier.fit(pool, np.arange(pool.n_samples), False, 11)
         weighted = select(pool.features, labels, seed=11)
         assert chosen == [oracle()] == [model.reg_param]
         assert weighted != chosen[0]  # the fixture tells the two weightings apart

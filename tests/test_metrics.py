@@ -21,16 +21,20 @@ META = RunMeta(af="margin", seed=0, total_budget=120, iterations=4,
 
 
 def make_report(accs, counts=None, base=30):
-    counts = counts or [(10, 10, 10)] * len(accs)
-    records = []
-    for k, (acc, cc) in enumerate(zip(accs, counts)):
-        mean = sum(cc) / len(cc)
-        var = sum((c - mean) ** 2 for c in cc) / len(cc)
-        records.append(IterationRecord(
-            iteration=k, labeled_count=(k + 1) * base, accuracy=acc,
-            class_counts=tuple(cc), ir=var ** 0.5 / mean,
-            selected_ids=tuple(range(k * base, (k + 1) * base))))
+    """One record per accuracy; by default iteration k has (k + 1) * base
+    labels, split evenly over two classes."""
+    counts = counts or [((k + 1) * base // 2,) * 2 for k in range(len(accs))]
+    records = (IterationRecord(iteration=k, accuracy=acc, class_counts=tuple(cc),
+                               selected_ids=tuple(range(k * base, (k + 1) * base)))
+               for k, (acc, cc) in enumerate(zip(accs, counts)))
     return Report(meta=META, records=tuple(records))
+
+
+class TestIterationRecord:
+    def test_labeled_count_and_ir_derive_from_class_counts(self):
+        [record] = make_report([0.5], counts=[(10, 30)]).records
+        assert record.labeled_count == 40
+        assert record.ir == 0.5
 
 
 class TestAverageAccuracy:
@@ -133,6 +137,16 @@ class TestSerialization:
         write_report(rep, p1)
         write_report(rep, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("key, value", [("labeled", 31), ("ir", 0.25)])
+    def test_derived_value_disagreeing_with_class_counts_rejected(self, tmp_path, key, value):
+        path = tmp_path / "r.json"
+        write_report(make_report([0.5, 0.6]), path)
+        payload = json.loads(path.read_text())
+        payload["records"][1][key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="k=1: labeled .* disagree with class_counts"):
+            read_report(path)
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
