@@ -10,9 +10,11 @@ Each descent takes 500 steps of size min(0.1 / (1 + reg), 1.5 / L), where
 L = 2 λmax(Z'ᵀ diag(w) Z' / n) + 2 reg bounds the objective's curvature (Z'
 is the features with a bias column, w the per-sample weights).
 So no step diverges, on ReLU embeddings too, and where the fixed step
-0.1 / (1 + reg) was already stable it is kept bit for bit. λmax is one
-`eigvalsh` per descent: of the n x n form built from the Gram matrix when the
-descent runs in the rows' span (below), else of the (d+1) x (d+1) form.
+0.1 / (1 + reg) was already stable it is kept bit for bit. The curvature form
+is n x n, built from the Gram matrix, when the descent runs in the rows' span
+(below), else (d+1) x (d+1). Two products of the form with itself bound λmax
+from above; where that bound keeps the fixed step, no `eigvalsh` runs, and
+elsewhere one per descent gives λmax.
 
 One descent kernel trains a whole regularization grid jointly, the candidates
 stacked on a leading axis of the parameters. Its margins are one class-major
@@ -49,7 +51,16 @@ chosen regularization is the one a serial loop picks.
 
 Models fit and score the features they are given, with no scaler of their
 own: a run's features are standardized once, by `dataset.standardize`.
-Scoring a pool is one product with the weights, and copies no pool rows.
+Scoring a pool multiplies it by the weights in row blocks and copies no pool
+rows.
+
+At desk scale (64 dims, 20 classes) no product that runs in CV or just
+before it is large enough for OpenBLAS to split it over threads: not the
+step rule's bound, nor the (d+1) x (d+1) form and the scoring products, which
+run in row blocks (`_row_blocks`), nor the descent's per-candidate GEMMs. A
+split product leaves OpenBLAS's worker thread spinning for a while
+afterwards, on a core the fold threads need. A product that runs in serial
+blocks also gives the same bits at any thread count.
 """
 
 from __future__ import annotations
@@ -82,6 +93,10 @@ DEFAULT_REG_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
 FALLBACK_REG = 0.1  # when too few classes can be stratified for CV
 # candidates x classes x CV rows from which CV folds train one thread each
 THREADED_CV_SIZE = 2 ** 13
+# multiply-adds per product of a row-blocked BLAS call (`_row_blocks`): below
+# the size at which OpenBLAS splits a product over threads
+_BLOCK_MACS = 2 ** 18
+_MIN_BLOCK_ROWS = 64
 
 
 class ClassifierError(ValueError):
@@ -160,16 +175,36 @@ def _check_fit(features, labels, regs, n_classes) -> None:
         raise ClassifierError(f"labels must lie in [0, {n_classes})")
 
 
+def _row_blocks(n, macs_per_row):
+    """The fewest near-equal slices of n rows, in order, each within
+    _BLOCK_MACS multiply-adds at `macs_per_row` a row, or within
+    _MIN_BLOCK_ROWS rows where a row costs more than _BLOCK_MACS /
+    _MIN_BLOCK_ROWS, so that wide products are not cut into thousands of
+    calls. Near-equal blocks leave no one-row tail, which numpy would hand to
+    gemv instead of gemm."""
+    rows = max(_MIN_BLOCK_ROWS, _BLOCK_MACS // max(macs_per_row, 1))
+    count = max(1, -(-n // rows))
+    bounds = np.arange(count + 1) * n // count
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def _curvature_form(z, sample_w, gram=None) -> np.ndarray:
     """Z'ᵀ diag(w) Z' / n, Z' being `z` with a bias column; given the Gram
     matrix Z Zᵀ, the n x n form (Z Zᵀ + 1 1ᵀ) ∘ √w √wᵀ / n instead, which has
-    the same nonzero eigenvalues."""
-    n = len(z)
+    the same nonzero eigenvalues.
+
+    The (d+1) x (d+1) form is summed over `_row_blocks`, in row order, one
+    `syrk` each, so that up to 64 dims no product is large enough for
+    OpenBLAS to split over threads."""
+    n, dim = z.shape
     root_w = np.sqrt(sample_w)
     if gram is None:
         scaled = np.hstack([z, np.ones((n, 1))])
         scaled *= root_w[:, None]
-        form = scaled.T @ scaled
+        form = np.zeros((dim + 1, dim + 1))
+        for rows in _row_blocks(n, (dim + 1) ** 2):
+            block = scaled[rows]
+            form += block.T @ block
     else:
         form = gram + 1.0
         form *= root_w[:, None]
@@ -182,13 +217,31 @@ def _step_sizes(z, sample_w, regs, gram=None) -> np.ndarray:
     """Step of each candidate: min(0.1 / (1 + reg), 1.5 / L).
 
     L = 2 λmax + 2 reg bounds the curvature of the objective, λmax being the
-    largest eigenvalue of `_curvature_form`, taken with one `eigvalsh`. A
-    step below 2 / L cannot diverge; 1.5 / L leaves the fixed step
-    0.1 / (1 + reg) in place wherever it was already stable.
+    largest eigenvalue of the form F of `_curvature_form`. A step below 2 / L
+    cannot diverge; 1.5 / L leaves the fixed step 0.1 / (1 + reg) in place
+    wherever it was already stable.
+
+    F is positive semidefinite, so λmax <= ‖F⁴‖_F^(1/4) = (tr F⁸)^(1/8), which
+    two products of F / tr F with itself give: the trace scaling keeps their
+    entries within 1, so nothing overflows, and what underflows is far below
+    the bound's rounding. When that bound, raised by 1e-6 to cover rounding
+    here and in `eigvalsh`, already keeps the fixed step for every candidate,
+    the fixed step is returned: the exact rule would return the same bits,
+    its λmax being no larger. Otherwise λmax is taken with one `eigvalsh`.
     """
     regs = np.asarray(regs, dtype=np.float64)
-    lam = float(np.linalg.eigvalsh(_curvature_form(z, sample_w, gram))[-1])
-    return np.minimum(0.1 / (1.0 + regs), 1.5 / (2.0 * lam + 2.0 * regs))
+    fixed = 0.1 / (1.0 + regs)
+    form = _curvature_form(z, sample_w, gram)
+    trace = np.trace(form)
+    with np.errstate(under="ignore"):
+        power = form / trace
+        power = power @ power
+        power = power @ power
+        bound = trace * np.sqrt(np.sqrt(np.sqrt((power * power).sum())))
+    if np.all(fixed <= 1.5 / (2.0 * (bound * (1.0 + 1e-6)) + 2.0 * regs)):
+        return fixed
+    lam = float(np.linalg.eigvalsh(form)[-1])
+    return np.minimum(fixed, 1.5 / (2.0 * lam + 2.0 * regs))
 
 
 def _descend(z, targets, sample_w, regs):
@@ -385,12 +438,20 @@ def fit(space, rows, cost_sensitive: bool, seed: int) -> Model:
 
 
 def decision_values(model: Model, features) -> np.ndarray:
-    """Per-class decision values of each row of `features`."""
+    """Per-class decision values of each row of `features`.
+
+    The product with the weights runs over `_row_blocks`, one GEMM each.
+    Up to 512 dims x 10 classes no call is large enough for OpenBLAS to
+    split over threads, so there the values do not depend on the thread
+    count. They agree with one whole product within rounding, not always
+    bit for bit."""
     features = np.asarray(features, dtype=np.float64)
     if features.shape[1] != model.dim:
         raise ClassifierError(
             f"feature dim {features.shape[1]} does not match model dim {model.dim}")
-    dv = features @ model.weights.T
+    dv = np.empty((len(features), model.n_classes))
+    for rows in _row_blocks(len(features), model.dim * model.n_classes):
+        np.matmul(features[rows], model.weights.T, out=dv[rows])
     dv += model.biases
     return dv
 

@@ -60,7 +60,7 @@ def parse_seeds(spec: str):
     except ValueError:
         raise CliError(f"cannot parse seeds {spec!r}") from None
     if not seeds:
-        raise CliError("no seeds given")
+        raise CliError(f"empty seed range {spec!r}" if ".." in spec else "no seeds given")
     if min(seeds) < 0:
         raise CliError(f"seeds must be non-negative, got {spec!r}")
     if len(set(seeds)) != len(seeds):

@@ -132,7 +132,8 @@ def write_report(report: Report, path, format: str = "json") -> None:
 
 def read_report(path) -> Report:
     """Inverse of write_report(format='json'); raises ValueError when a
-    record's `labeled` or `ir` disagrees with its `class_counts`."""
+    record's `labeled` or `ir` disagrees with its `class_counts`, or when the
+    iteration numbers `k` are not 0..len-1, each once."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     meta = RunMeta(
@@ -152,7 +153,12 @@ def read_report(path) -> Report:
             raise ValueError(f"record k={r['k']}: labeled {r['labeled']} and ir {r['ir']} "
                              f"disagree with class_counts {r['class_counts']}")
         records.append(record)
-    return Report(meta=meta, records=records)
+    report = Report(meta=meta, records=records)
+    iterations = [r.iteration for r in report.records]
+    if iterations != list(range(len(iterations))):
+        raise ValueError(f"record iterations {iterations} are not 0..{len(iterations) - 1}, "
+                         "each once")
+    return report
 
 
 def aggregate(reports) -> dict:

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -12,6 +16,7 @@ from alamp.classifier import (
     _descend,
     _curvature_form,
     _problem,
+    _row_blocks,
     _step_sizes,
     _stratified_folds,
     class_weights,
@@ -312,6 +317,66 @@ def reference_descent(z, targets, sample_w, reg):
     return weights, biases
 
 
+def forbidden_eigvalsh(form):
+    raise AssertionError(f"eigvalsh called on a {form.shape} form")
+
+
+def count_eigvalsh(monkeypatch):
+    """The shapes of the forms `np.linalg.eigvalsh` is called on, as a list
+    that fills while the patch is in place."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda form: calls.append(form.shape) or eigvalsh(form))
+    return calls
+
+
+def blob_rows(n, dim, scale=1.0, seed=0):
+    """n blob rows in `dim` dims times `scale`, and sample weights in [0.5, 2)."""
+    rng = np.random.default_rng(seed)
+    features = make_synthetic(4, 60, dim, 1.6, seed).features
+    return scale * features[rng.permutation(len(features))[:n]], rng.uniform(0.5, 2.0, n)
+
+
+def constant_column():
+    z, sample_w = blob_rows(200, 16)
+    z[:, 3] = 2.5
+    return z, sample_w
+
+
+def relu_rows(per_class, dim):
+    features, labels = lowrank_relu(4, per_class, dim, 8, 3)
+    return features, class_weights(np.bincount(labels))[labels]
+
+
+# Inputs of `_step_sizes`, each with the form `_descend` would take (rows form
+# below `dim` rows, else the (dim+1)^2 form), and whether the power bound alone
+# certifies the fixed step there; where it does not, the cap binds, except at
+# "blobs x 1.05", whose λmax lies below the cap and its bound above it. At
+# "blobs x 1.1" λmax lies just above the cap of the three smallest regs. One
+# row has a rank-1 form, whose bound is λmax itself: 7.5 keeps the fixed step,
+# 7.51 passes the cap 7.5 + 6.5 reg of reg 1e-3.
+STEP_RULE_CASES = {
+    "blobs, dims form": (lambda: blob_rows(200, 16), True),
+    "blobs x 0.45, rows form": (lambda: blob_rows(30, 64, 0.45), True),
+    "blobs x 1.05, dims form": (lambda: blob_rows(200, 16, 1.05), False),
+    "blobs x 1.1, dims form": (lambda: blob_rows(200, 16, 1.1), False),
+    "blobs x 3, dims form": (lambda: blob_rows(200, 16, 3.0), False),
+    "relu, rows form": (lambda: relu_rows(10, 512), False),
+    "relu, dims form": (lambda: relu_rows(60, 32), False),
+    "constant column": (constant_column, False),
+    "1 row": (lambda: blob_rows(1, 8), True),
+    "2 rows": (lambda: blob_rows(2, 8), False),
+    "3 rows": (lambda: blob_rows(3, 8), False),
+    "1 row, λmax 7.5": (lambda: (np.array([[np.sqrt(6.5), 0.0]]), np.ones(1)), True),
+    "1 row, λmax 7.51": (lambda: (np.array([[np.sqrt(6.51), 0.0]]), np.ones(1)), False),
+    "blobs x 1e-150, dims form": (lambda: blob_rows(200, 16, 1e-150), True),
+    "blobs x 1e-150, rows form": (lambda: blob_rows(30, 64, 1e-150), True),
+    "blobs x 1e150, dims form": (lambda: blob_rows(200, 16, 1e150), False),
+    "blobs x 1e150, rows form": (lambda: blob_rows(30, 64, 1e150), False),
+}
+
+
 def per_reg_select_reg_param(features, labels, grid, folds=3, seed=0):
     """The per-candidate CV loop, one `train` per candidate and fold."""
     grid = sorted(float(c) for c in grid)
@@ -484,11 +549,13 @@ class TestGridDescent:
         assert np.count_nonzero(lr < fixed) == capped
 
     @pytest.mark.parametrize("seed", [0, 1, 1000])
-    def test_step_rule_keeps_fixed_step_on_desk_subsets(self, seed):
+    def test_step_rule_keeps_fixed_step_on_desk_subsets(self, seed, monkeypatch):
         # criterion 7's data in its run's feature space: the curvature bound
-        # never binds, so desk-scale fits take the fixed step 0.1 / (1 + reg)
+        # never binds, so desk-scale fits take the fixed step 0.1 / (1 + reg),
+        # and the power bound certifies that without an `eigvalsh`
         train_pool = standardize(*train_test_split(make_synthetic(20, 250, 64, 1.6, seed),
                                                    0.2, seed + 1))[0]
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden_eigvalsh)
         rng = np.random.default_rng(seed)
         grid = np.array(DEFAULT_REG_GRID)
         for n in (45, 100, 200, 400, 600):
@@ -498,6 +565,44 @@ class TestGridDescent:
             z, _, sample_w = descent_problem(train_pool.features[rows], labels, cw)
             lr = _step_sizes(z, sample_w, grid, kernel_gram(z))
             assert np.array_equal(lr, 0.1 / (1.0 + grid))
+        # whole fits too: CV's folds of 30 and 400 rows, then the final fit
+        for n in (45, 600):
+            model = fit(train_pool, np.sort(rng.choice(train_pool.n_samples, n, replace=False)),
+                        True, seed)
+            assert np.all(np.isfinite(model.weights))
+
+    def test_step_rule_takes_eigvalsh_where_the_cap_binds(self, monkeypatch):
+        # ReLU rows in 512 dims: the curvature bound binds, so the step needs
+        # the exact λmax
+        features, labels = lowrank_relu(10, 6, 512, 8, 0)
+        z, _, sample_w = descent_problem(features, labels)
+        grid = np.array(DEFAULT_REG_GRID)
+        calls = count_eigvalsh(monkeypatch)
+        lr = _step_sizes(z, sample_w, grid, kernel_gram(z))
+        assert calls == [(60, 60)]
+        assert np.all(lr < 0.1 / (1.0 + grid))
+        calls.clear()
+        train(features, labels, class_weights(np.bincount(labels)), 1.0)
+        assert calls == [(60, 60)]
+
+    @pytest.mark.parametrize("case", sorted(STEP_RULE_CASES))
+    def test_power_bound_returns_the_exact_rule(self, case, monkeypatch):
+        # bit for bit the step `eigvalsh` gives, where the power bound
+        # certifies the fixed step and where it cannot, with no floating-point
+        # flag raised at extreme scales
+        make, certified = STEP_RULE_CASES[case]
+        z, sample_w = make()
+        grid = np.array(DEFAULT_REG_GRID)
+        fixed = 0.1 / (1.0 + grid)
+        gram = kernel_gram(z)
+        with np.errstate(all="raise"):
+            lam = np.linalg.eigvalsh(_curvature_form(z, sample_w, gram))[-1]
+            calls = count_eigvalsh(monkeypatch)
+            got = _step_sizes(z, sample_w, grid, gram)
+            want = np.minimum(fixed, 1.5 / (2.0 * lam + 2.0 * grid))
+        assert got.tobytes() == want.tobytes()
+        assert len(calls) == (0 if certified else 1)
+        assert np.array_equal(got, fixed) == (certified or case.startswith("blobs x 1.05"))
 
     @pytest.mark.parametrize("folds", [2, 3])
     @pytest.mark.parametrize("per_class", [6, 9, 36])
@@ -606,6 +711,28 @@ def model_with_decisions(dv_rows):
     return Model(weights=np.eye(n_classes), biases=np.zeros(n_classes), reg_param=1.0)
 
 
+# rows of a desk-width score (64 dims, 20 classes) that one block holds
+DESK_BLOCK = classifier._BLOCK_MACS // (64 * 20)
+
+
+def random_model_and_rows(n, dim, n_classes, seed=0):
+    rng = np.random.default_rng(seed)
+    model = classifier.Model(weights=rng.normal(size=(n_classes, dim)),
+                             biases=rng.normal(size=n_classes), reg_param=1.0)
+    return model, rng.normal(size=(n, dim))
+
+
+SCORE_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_classifier import random_model_and_rows
+from alamp.classifier import decision_values
+model, features = random_model_and_rows(4000, 64, 20)
+with open(sys.argv[2], "wb") as fh:
+    fh.write(decision_values(model, features).tobytes())
+"""
+
+
 class TestDecisionValues:
     def test_scores_the_features_as_given(self):
         # no scaler of the model's own: the features are the space it was fit in
@@ -613,6 +740,46 @@ class TestDecisionValues:
         model = train(d.features, d.labels, class_weights(d.class_counts()), 0.1)
         assert np.array_equal(decision_values(model, d.features),
                               d.features @ model.weights.T + model.biases)
+
+    # 0 and 1 rows, one block of a desk-width score (64 dims, 20 classes), and
+    # its neighbours: the one below stays whole, the one above splits in two
+    @pytest.mark.parametrize("n", [0, 1, DESK_BLOCK - 1, DESK_BLOCK, DESK_BLOCK + 1])
+    def test_row_blocks_match_one_product(self, n):
+        model, features = random_model_and_rows(n, 64, 20)
+        dv = decision_values(model, features)
+        want = features @ model.weights.T + model.biases
+        assert dv.shape == (n, 20)
+        if n:
+            assert_close(dv, want, 1e-12)
+            assert np.array_equal(np.argmax(dv, axis=1), np.argmax(want, axis=1))
+
+    def test_scores_match_at_1_and_2_blas_threads(self, tmp_path):
+        # 4,000 x 64 x 20 in one product is past the size at which OpenBLAS
+        # splits it over threads; its row blocks are not
+        outputs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            out = tmp_path / f"threads_{threads}.bin"
+            subprocess.run([sys.executable, "-c", SCORE_SCRIPT, str(pathlib.Path(__file__).parent),
+                            str(out)], check=True, env=env, timeout=300)
+            outputs[threads] = out.read_bytes()
+        assert len(outputs["1"]) == 4000 * 20 * 8
+        assert outputs["1"] == outputs["2"]
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("width", [1, 64 * 20, 65 * 65, 512 * 10, 512 * 100])
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 129, 1000, 18000])
+    def test_blocks_cover_the_rows_in_order(self, n, width):
+        blocks = _row_blocks(n, width)
+        most = max(classifier._MIN_BLOCK_ROWS, classifier._BLOCK_MACS // width)
+        assert np.array_equal(np.concatenate([np.arange(n)[b] for b in blocks]), np.arange(n))
+        sizes = [b.stop - b.start for b in blocks]
+        assert len(blocks) == max(1, -(-n // most))
+        assert max(sizes) <= most and max(sizes) - min(sizes) <= 1
+        assert min(sizes) > 1 or n <= 1  # no one-row tail for gemv
+
 
 
 class TestPredictProba:

@@ -38,6 +38,13 @@ class TestParseSeeds:
         with pytest.raises(CliError):
             parse_seeds("abc")
 
+    def test_empty_range_named(self):
+        from alamp.cli import CliError
+        with pytest.raises(CliError, match=r"empty seed range '4\.\.0'"):
+            parse_seeds("4..0")
+        with pytest.raises(CliError, match="no seeds given"):
+            parse_seeds(",")
+
 
 class TestSynth:
     def test_writes_csv(self, tmp_path, capsys):

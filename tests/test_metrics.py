@@ -207,3 +207,15 @@ class TestRecordOrder:
         assert read == rep
         assert samples_to_accuracy(read, 0.5) == 60
         assert imbalance_profile(read) == [0.0, 0.0, 0.0]
+
+    # a repeated k, a gap, and a first k other than 0
+    @pytest.mark.parametrize("ks", [[0, 0, 2], [0, 1, 3], [1, 2, 3]])
+    def test_read_report_rejects_repeated_or_missing_iterations(self, tmp_path, ks):
+        path = tmp_path / "r.json"
+        write_report(make_report([0.25, 0.5, 0.75]), path)
+        payload = json.loads(path.read_text())
+        for record, k in zip(payload["records"], ks):
+            record["k"] = k
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"iterations \[.*\] are not 0\.\.2, each once"):
+            read_report(path)
