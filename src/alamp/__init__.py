@@ -10,9 +10,9 @@ The acquisition functions take and return arrays aligned by position:
 `margin_scores(probs)` and `pseudo_classes(probs)` give one value per row of
 a `ProbMatrix`, `alamp_scores(prev, curr)` combines two aligned margin arrays,
 and `diversify(ranked_classes, batch)` and `coreset_select(features, labeled,
-batch)` return positions in the ranking and in the space. The engine keeps
-every per-sample array aligned with the ascending unlabeled ids and maps its
-picks to ids once.
+batch)` return positions in the ranking and in the space. The engine works
+in rows of the space, whose ids ascend, and maps rows to ids only in the
+records it returns.
 """
 
 from .acquisition import (

@@ -8,9 +8,9 @@ Per-sample values are arrays aligned by position: `margin_scores` and
 `pseudo_classes` give one value per row of a `ProbMatrix`, `alamp_scores`
 combines two margin arrays of the same samples in the same order, and
 `diversify` and `coreset_select` return positions (in the ranking and in the
-feature space). Ties go to the lowest position; the engine keeps the pool and
-the space in ascending id order and maps positions to ids once, so its ties
-go to the lowest id, whatever the platform or thread count.
+feature space). Ties go to the lowest position; the engine passes rows of a
+space in ascending id order and maps rows to ids only in its records, so its
+ties go to the lowest id, whatever the platform or thread count.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ def alamp_scores(prev, curr) -> np.ndarray:
 
 def random_select(pool_ids, batch: int, seed: int) -> np.ndarray:
     """Uniform sample without replacement from distinct ids, deterministic
-    per seed."""
+    per seed. The draw picks positions in the sorted pool, so a pool of rows
+    and the pool of their ascending ids pick the same samples."""
     pool = np.sort(np.asarray(pool_ids, dtype=np.int64))
     if np.any(pool[1:] == pool[:-1]):
         raise AcquisitionError("pool ids must be distinct")

@@ -3,9 +3,10 @@
 A run standardizes its feature space once, starts from a random seed batch,
 then alternates selection (per the chosen acquisition function), simulated
 labeling (labels come from the training dataset itself), and from-scratch
-retraining by `classifier.fit`. A step scores the space only if its rule
-reads scores (random and coreset do not), and keeps the unlabeled rows'
-margins and pseudo classes for the next step's alamp score and alamp-div.
+retraining by `classifier.fit`, all in rows of that space: ids appear only
+in the records. A step scores the space only if its rule reads scores
+(random and coreset do not), and keeps every row's margin and pseudo class
+for the next step's alamp score and alamp-div.
 """
 
 from __future__ import annotations
@@ -64,29 +65,15 @@ class BudgetPlan:
 
 @dataclasses.dataclass(frozen=True)
 class PoolState:
-    """Labeled/unlabeled partition, plus the margins and pseudo classes of the
-    model that picked the last batch, aligned with `unlabeled_ids`: None after
-    a `random` or `coreset` step, which scores nothing, so an alamp step from
-    there selects as margin."""
+    """Labeled rows of the run's space, plus the margins and pseudo classes
+    of the model that picked the last batch, one per row of the space: None
+    after a `random` or `coreset` step, which scores nothing, so an alamp
+    step from there selects as margin. `step` checks it against the space."""
 
-    labeled_ids: np.ndarray    # in labeling order
-    unlabeled_ids: np.ndarray  # strictly ascending
+    labeled: np.ndarray  # rows of the space, in labeling order
     iteration: int
     prev_margins: np.ndarray | None = None
     prev_pseudo: np.ndarray | None = None
-
-    def __post_init__(self):
-        # selection breaks ties by position in the unlabeled pool, which is
-        # the id order only while the pool is ascending
-        ids = np.asarray(self.unlabeled_ids)
-        if np.any(ids[1:] <= ids[:-1]):
-            raise EngineError("unlabeled_ids must be strictly ascending")
-        if (self.prev_margins is None) != (self.prev_pseudo is None):
-            raise EngineError("prev_margins and prev_pseudo must be set together")
-        for name in ("prev_margins", "prev_pseudo"):
-            value = getattr(self, name)
-            if value is not None and np.shape(value) != (len(ids),):
-                raise EngineError(f"{name} must hold one entry per unlabeled id")
 
 
 def _step_seed(seed: int, k: int) -> int:
@@ -94,13 +81,13 @@ def _step_seed(seed: int, k: int) -> int:
     return int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
 
 
-def _record(k: int, train: Dataset, rows: np.ndarray, selected: np.ndarray) -> IterationRecord:
-    """Record of iteration k whose labeled pool is `rows` of `train`; the
-    caller, which owns the test set, fills in accuracy."""
-    counts = np.bincount(train.labels[rows], minlength=train.n_classes)
+def _record(k: int, train: Dataset, labeled: np.ndarray, picks: np.ndarray) -> IterationRecord:
+    """Record of iteration k, which picked the rows `picks` of `train` and
+    labeled `labeled`; the caller, which owns the test set, fills in accuracy."""
+    counts = np.bincount(train.labels[labeled], minlength=train.n_classes)
     return IterationRecord(iteration=k, accuracy=float("nan"),
                            class_counts=tuple(counts.tolist()),
-                           selected_ids=tuple(selected.tolist()))
+                           selected_ids=tuple(train.sample_ids[picks].tolist()))
 
 
 def init_pool(train: Dataset, plan: BudgetPlan, seed: int,
@@ -114,57 +101,69 @@ def init_pool(train: Dataset, plan: BudgetPlan, seed: int,
     if plan.total_budget >= train.n_samples:
         raise EngineError("budget must be smaller than the unlabeled pool")
     for attempt in range(10):
-        labeled = acquisition.random_select(train.sample_ids, plan.batch,
+        labeled = acquisition.random_select(np.arange(train.n_samples), plan.batch,
                                             seed + attempt)
-        rows = train.rows_for(labeled)
-        if len(np.unique(train.labels[rows])) >= 2:
+        if len(np.unique(train.labels[labeled])) >= 2:
             break
     else:
         raise EngineError("initial batch covered fewer than 2 classes in 10 draws")
-    unlabeled = np.setdiff1d(train.sample_ids, labeled)
-    model = classifier.fit(train, rows, cost_sensitive, _step_seed(seed, 0))
-    state = PoolState(labeled_ids=labeled, unlabeled_ids=unlabeled, iteration=0)
-    return state, model, _record(0, train, rows, labeled)
+    model = classifier.fit(train, labeled, cost_sensitive, _step_seed(seed, 0))
+    return PoolState(labeled=labeled, iteration=0), model, _record(0, train, labeled, labeled)
 
 
-def _select(state: PoolState, model: Model, af: str, train: Dataset, batch: int,
-            seed: int):
-    """Pick the next batch of sample ids per the acquisition function; also
-    returns the current model's margins and pseudo classes, or None for both
-    if the rule reads no scores.
+def _unlabeled_rows(state: PoolState, n: int) -> np.ndarray:
+    """The ascending rows of an n-row space that `state` has not labeled,
+    after checking the state against the space."""
+    labeled = np.asarray(state.labeled)
+    if np.any(labeled < 0) or np.any(labeled >= n):
+        raise EngineError(f"labeled rows must lie in [0, {n})")
+    mask = np.ones(n, dtype=bool)
+    mask[labeled] = False
+    unlabeled = np.flatnonzero(mask)
+    if len(unlabeled) != n - len(labeled):
+        raise EngineError("labeled rows must be distinct")
+    if (state.prev_margins is None) != (state.prev_pseudo is None):
+        raise EngineError("prev_margins and prev_pseudo must be set together")
+    for name in ("prev_margins", "prev_pseudo"):
+        value = getattr(state, name)
+        if value is not None and np.shape(value) != (n,):
+            raise EngineError(f"{name} must hold one entry per row of the space")
+    return unlabeled
 
-    Coreset picks rows of `train`; the scored rules score all of it, and pick
-    positions in `state.unlabeled_ids`, with which every per-sample array here
-    is aligned. Picks map to ids on return (random draws ids); rows and pool
-    are in id order, so a tie broken to the lowest position goes to the lowest id.
+
+def _select(state: PoolState, unlabeled: np.ndarray, model: Model, af: str,
+            train: Dataset, batch: int, seed: int):
+    """Pick the next batch of rows of `train` per the acquisition function;
+    also returns the current model's margins and pseudo classes over the
+    whole space, or None for both if the rule reads no scores.
+
+    Random and the scored rules pick positions in `unlabeled`, the ascending
+    unlabeled rows, and coreset picks rows; a tie broken to the lowest
+    position goes to the lowest row, and so to the lowest id.
     """
-    unlabeled = state.unlabeled_ids
     if state.prev_margins is None:
         af = FIRST_STEP_RULE.get(af, af)
     if af == "random":
         return acquisition.random_select(unlabeled, batch, seed), None, None
-
     if af == "coreset":
-        labeled = train.rows_for(state.labeled_ids)
-        picks = acquisition.coreset_select(train.features, labeled, batch)
-        return train.sample_ids[picks], None, None
+        return acquisition.coreset_select(train.features, state.labeled, batch), None, None
 
     # alamp and alamp-div rank by the shift from the previous model's
     # margins, and alamp-div spreads over its pseudo classes.
     probs = classifier.predict_proba(model, train.features)
-    rows = train.rows_for(unlabeled)
-    margins = acquisition.margin_scores(probs)[rows]
-    pseudo = acquisition.pseudo_classes(probs)[rows]
+    margins = acquisition.margin_scores(probs)
+    pseudo = acquisition.pseudo_classes(probs)
     if af == "rand-div":
         order = np.random.default_rng(seed).permutation(len(unlabeled))
     elif af in ("alamp", "alamp-div"):
-        order = np.argsort(-acquisition.alamp_scores(state.prev_margins, margins), kind="stable")
+        shift = acquisition.alamp_scores(state.prev_margins[unlabeled], margins[unlabeled])
+        order = np.argsort(-shift, kind="stable")
     else:
-        order = np.argsort(margins, kind="stable")
+        order = np.argsort(margins[unlabeled], kind="stable")
     if af in ("margin", "alamp"):
         picks = order[:batch]
     else:
-        classes = state.prev_pseudo if af == "alamp-div" else pseudo
+        classes = (state.prev_pseudo if af == "alamp-div" else pseudo)[unlabeled]
         picks = order[acquisition.diversify(classes[order], batch)]
     return unlabeled[picks], margins, pseudo
 
@@ -176,27 +175,23 @@ def step(state: PoolState, model: Model, af: str, train: Dataset, seed: int,
     `train` is the run's feature space, whose labeled rows are retrained on
     in labeling order. Returns the new pool state, the retrained model, and a
     record of the selection (the caller, which owns the test set, fills in
-    test accuracy).
+    test accuracy). Raises `EngineError` if `state` does not fit the space.
     """
     if af not in AF_NAMES:
         raise EngineError(f"unknown acquisition function {af!r}")
     if batch < 1:
         raise EngineError("batch size must be >= 1")
-    if len(state.unlabeled_ids) < batch:
+    unlabeled = _unlabeled_rows(state, train.n_samples)
+    if len(unlabeled) < batch:
         raise EngineError("unlabeled pool exhausted")
     k = state.iteration + 1
     step_seed = _step_seed(seed, k)
-    selected, margins, pseudo = _select(state, model, af, train, batch, step_seed)
-
-    keep = ~np.isin(state.unlabeled_ids, selected)
-    if margins is not None:
-        margins, pseudo = margins[keep], pseudo[keep]
-    new_labeled = np.concatenate([state.labeled_ids, selected])
-    new_state = PoolState(labeled_ids=new_labeled, unlabeled_ids=state.unlabeled_ids[keep],
-                          iteration=k, prev_margins=margins, prev_pseudo=pseudo)
-    rows = train.rows_for(new_labeled)
-    return (new_state, classifier.fit(train, rows, cost_sensitive, step_seed),
-            _record(k, train, rows, selected))
+    picks, margins, pseudo = _select(state, unlabeled, model, af, train, batch, step_seed)
+    labeled = np.concatenate([state.labeled, picks])
+    new_state = PoolState(labeled=labeled, iteration=k, prev_margins=margins,
+                          prev_pseudo=pseudo)
+    return (new_state, classifier.fit(train, labeled, cost_sensitive, step_seed),
+            _record(k, train, labeled, picks))
 
 
 def run_strategies(train: Dataset, test: Dataset, afs, plan: BudgetPlan,

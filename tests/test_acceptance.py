@@ -165,18 +165,20 @@ def test_criterion_4_protocol_invariants():
     assert plan.batch == 200
 
     state, model, _ = init_pool(train, plan, 0)
-    all_ids = set(train.sample_ids.tolist())
-    seen = set(state.labeled_ids.tolist())
-    labeled_counts = [len(state.labeled_ids)]
+    seen = set(train.sample_ids[state.labeled].tolist())
+    labeled_counts = [len(state.labeled)]
     records = 1
     for _ in range(plan.iterations - 1):
         state, model, record = step(state, model, "margin", train, 0, plan.batch)
         records += 1
-        labeled_counts.append(len(state.labeled_ids))
-        assert set(state.labeled_ids.tolist()) | set(state.unlabeled_ids.tolist()) == all_ids
-        assert set(state.labeled_ids.tolist()).isdisjoint(state.unlabeled_ids.tolist())
+        labeled_counts.append(len(state.labeled))
+        # labeled rows are distinct rows of the pool; the rest is unlabeled
+        assert ((0 <= state.labeled) & (state.labeled < train.n_samples)).all()
+        labeled_ids = train.sample_ids[state.labeled].tolist()
+        assert len(set(labeled_ids)) == len(labeled_ids)
         assert seen.isdisjoint(record.selected_ids)  # no relabeling
         seen.update(record.selected_ids)
+        assert set(labeled_ids) == seen
     assert records == 16
     assert labeled_counts == list(range(200, 3201, 200))
 

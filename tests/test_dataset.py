@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from alamp.acquisition import random_select
 from alamp.dataset import (
     Dataset,
     DatasetError,
@@ -314,6 +315,15 @@ class TestAscendingIds:
                   + data.draw(st.lists(known | unknown, max_size=20)))
         with pytest.raises(DatasetError, match=f"^unknown sample_id {first}$"):
             dataset_of(ids).rows_for(wanted)
+
+    @given(ids=ascending_ids(), data=st.data())
+    def test_random_rows_are_the_rows_of_random_ids(self, ids, data):
+        # the engine draws rows, not ids: the draw picks positions in the
+        # sorted pool, so over ascending ids it picks the same samples
+        batch = data.draw(st.integers(1, len(ids)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rows = random_select(np.arange(len(ids)), batch, seed)
+        assert rows.tolist() == dataset_of(ids).rows_for(random_select(ids, batch, seed)).tolist()
 
     @given(ids=ascending_ids(), data=st.data())
     def test_subset_ignores_request_order(self, ids, data):

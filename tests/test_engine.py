@@ -21,7 +21,6 @@ from alamp.engine import (
     AF_NAMES,
     BudgetPlan,
     EngineError,
-    PoolState,
     init_pool,
     run_experiment,
     run_strategies,
@@ -56,22 +55,23 @@ class TestInitPool:
     def test_sizes_and_partition(self, pools):
         train, _ = pools
         state, model, record = init_pool(train, PLAN, 0)
-        assert len(state.labeled_ids) == 30
-        assert len(state.unlabeled_ids) == train.n_samples - 30
-        assert set(state.labeled_ids).isdisjoint(state.unlabeled_ids)
+        # 30 distinct rows of the space, so 210 left unlabeled
+        assert len(np.unique(state.labeled)) == len(state.labeled) == 30
+        assert 0 <= state.labeled.min() and state.labeled.max() < train.n_samples
         assert state.prev_margins is None and state.prev_pseudo is None
         assert model.n_classes == train.n_classes
         # iteration 0's record describes the seed batch; accuracy is the caller's
+        labeled_ids = train.sample_ids[state.labeled]
         assert (record.iteration, record.labeled_count) == (0, 30)
-        assert record.selected_ids == tuple(state.labeled_ids.tolist())
-        assert record.class_counts == tuple(train.subset(state.labeled_ids).class_counts().tolist())
+        assert record.selected_ids == tuple(labeled_ids.tolist())
+        assert record.class_counts == tuple(train.subset(labeled_ids).class_counts().tolist())
         assert np.isnan(record.accuracy)
 
     def test_deterministic(self, pools):
         train, _ = pools
         a, _, _ = init_pool(train, PLAN, 3)
         b, _, _ = init_pool(train, PLAN, 3)
-        assert np.array_equal(a.labeled_ids, b.labeled_ids)
+        assert np.array_equal(a.labeled, b.labeled)
 
     def test_budget_must_fit_pool(self, pools):
         train, _ = pools
@@ -83,22 +83,25 @@ class TestStep:
     def test_pool_conservation_and_no_relabel(self, pools):
         train, _ = pools
         state, model, _ = init_pool(train, PLAN, 0)
-        seen = set(state.labeled_ids.tolist())
+        seen = set(train.sample_ids[state.labeled].tolist())
         for _ in range(3):
             state, model, record = step(state, model, "margin", train, 0, PLAN.batch)
-            union = set(state.labeled_ids.tolist()) | set(state.unlabeled_ids.tolist())
-            assert union == set(train.sample_ids.tolist())
             assert seen.isdisjoint(record.selected_ids)
             seen.update(record.selected_ids)
-            assert len(state.labeled_ids) == (state.iteration + 1) * PLAN.batch
+            # the labeled rows are distinct rows of the space, and their ids
+            # are exactly the ids the records selected
+            assert ((0 <= state.labeled) & (state.labeled < train.n_samples)).all()
+            labeled_ids = train.sample_ids[state.labeled].tolist()
+            assert len(set(labeled_ids)) == len(labeled_ids) and set(labeled_ids) == seen
+            assert len(state.labeled) == (state.iteration + 1) * PLAN.batch
 
     def test_random_delegates_to_random_select(self, pools):
         train, _ = pools
         state, model, _ = init_pool(train, PLAN, 0)
         new_state, _, record = step(state, model, "random", train, 7, PLAN.batch)
         from alamp.engine import _step_seed
-        expected = acquisition.random_select(state.unlabeled_ids, PLAN.batch,
-                                             _step_seed(7, 1))
+        unlabeled_ids = np.setdiff1d(train.sample_ids, train.sample_ids[state.labeled])
+        expected = acquisition.random_select(unlabeled_ids, PLAN.batch, _step_seed(7, 1))
         assert sorted(record.selected_ids) == sorted(expected.tolist())
         assert new_state.iteration == 1
 
@@ -107,18 +110,21 @@ class TestStep:
         alamp-div spreads over that model's pseudo classes."""
         train, _ = pools
         state, model, _ = init_pool(train, PLAN, 0)
-        ids = state.unlabeled_ids
-        # previous model: pseudo class c and a margin near m per id, as the
-        # two-hot row p[c] = (1 + m) / 2, p[c + 1] = (1 - m) / 2
-        m = np.random.default_rng(11).uniform(0.05, 0.95, size=len(ids))
-        prev_class = np.arange(len(ids)) % 3
-        rows = np.zeros((len(ids), train.n_classes))
-        rows[np.arange(len(ids)), prev_class] = (1 + m) / 2
-        rows[np.arange(len(ids)), prev_class + 1] = (1 - m) / 2
-        prev = classifier.ProbMatrix(probs=rows)
+        n = train.n_samples
+        unlabeled = np.setdiff1d(np.arange(n), state.labeled)
+        ids = train.sample_ids[unlabeled]
+        # previous model: pseudo class c and a margin near m per row of the
+        # space, as the two-hot row p[c] = (1 + m) / 2, p[c + 1] = (1 - m) / 2
+        m = np.random.default_rng(11).uniform(0.05, 0.95, size=n)
+        every_class = np.arange(n) % 3
+        every_row = np.zeros((n, train.n_classes))
+        every_row[np.arange(n), every_class] = (1 + m) / 2
+        every_row[np.arange(n), every_class + 1] = (1 - m) / 2
+        prev = classifier.ProbMatrix(probs=every_row)
         state = dataclasses.replace(state, prev_margins=acquisition.margin_scores(prev),
                                     prev_pseudo=acquisition.pseudo_classes(prev))
-        curr = classifier.predict_proba(model, train.features[train.rows_for(ids)])
+        rows, prev_class = every_row[unlabeled], every_class[unlabeled]
+        curr = classifier.predict_proba(model, train.features[unlabeled])
 
         def margin(probs):
             top2 = np.sort(probs, axis=1)[:, -2:]
@@ -147,24 +153,22 @@ class TestStep:
 
     def test_alamp_precondition_maintained(self, pools):
         # the kept margins and pseudo classes are the picking model's, one
-        # per id still unlabeled, in the order of `unlabeled_ids`
+        # per row of the space, in row order
         train, _ = pools
         state, model, _ = init_pool(train, PLAN, 0)
         for _ in range(3):
             picker = model
             state, model, _ = step(state, model, "alamp", train, 0, PLAN.batch)
-            ids = state.unlabeled_ids
-            probs = classifier.predict_proba(picker, train.features[train.rows_for(ids)])
-            assert state.prev_margins.shape == state.prev_pseudo.shape == (len(ids),)
-            np.testing.assert_allclose(state.prev_margins, acquisition.margin_scores(probs),
-                                       rtol=0, atol=1e-12)
+            probs = classifier.predict_proba(picker, train.features)
+            assert state.prev_margins.shape == state.prev_pseudo.shape == (train.n_samples,)
+            assert np.array_equal(state.prev_margins, acquisition.margin_scores(probs))
             assert np.array_equal(state.prev_pseudo, acquisition.pseudo_classes(probs))
 
     def test_pool_exhaustion(self, pools):
         train, _ = pools
         state, model, _ = init_pool(train, PLAN, 0)
         with pytest.raises(EngineError):
-            step(state, model, "margin", train, 0, len(state.unlabeled_ids) + 1)
+            step(state, model, "margin", train, 0, train.n_samples - len(state.labeled) + 1)
 
     def test_unknown_af(self, pools, monkeypatch):
         train, _ = pools
@@ -193,25 +197,44 @@ class TestStep:
 
 
 class TestPoolStateChecks:
-    @pytest.mark.parametrize("ids", [[1, 3, 2], [1, 2, 2]])
-    def test_unlabeled_not_strictly_ascending_rejected(self, ids):
-        with pytest.raises(EngineError, match="strictly ascending"):
-            PoolState(labeled_ids=np.array([0]), unlabeled_ids=np.array(ids), iteration=0)
+    """`step` checks a state against the space (240 rows) before it selects:
+    unchecked, a negative row would wrap to the end of the space."""
+
+    @pytest.fixture
+    def start(self, pools):
+        train, _ = pools
+        state, model, _ = init_pool(train, PLAN, 0)
+        return train, state, model
+
+    @staticmethod
+    def assert_rejected(start, match, **fields):
+        train, state, model = start
+        bad = dataclasses.replace(state, **fields)
+        with pytest.raises(EngineError, match=match):
+            step(bad, model, "alamp-div", train, 0, PLAN.batch)
+
+    def test_labeled_row_out_of_range_rejected(self, start):
+        labeled = np.append(start[1].labeled, 240)
+        self.assert_rejected(start, r"must lie in \[0, 240\)", labeled=labeled)
+
+    def test_negative_labeled_row_rejected(self, start):
+        labeled = np.append(start[1].labeled, -1)
+        self.assert_rejected(start, r"must lie in \[0, 240\)", labeled=labeled)
+
+    def test_repeated_labeled_row_rejected(self, start):
+        labeled = np.append(start[1].labeled, start[1].labeled[0])
+        self.assert_rejected(start, "must be distinct", labeled=labeled)
 
     @pytest.mark.parametrize("field", ["prev_margins", "prev_pseudo"])
-    def test_one_previous_array_alone_rejected(self, field):
-        with pytest.raises(EngineError, match="set together"):
-            PoolState(labeled_ids=np.array([0]), unlabeled_ids=np.array([1, 2, 3]),
-                      iteration=1, **{field: np.zeros(3)})
+    def test_one_previous_array_alone_rejected(self, start, field):
+        self.assert_rejected(start, "set together", **{field: np.zeros(240)})
 
     @pytest.mark.parametrize("field", ["prev_margins", "prev_pseudo"])
-    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), ()])
-    def test_previous_array_not_aligned_rejected(self, field, shape):
-        arrays = {"prev_margins": np.zeros(3), "prev_pseudo": np.zeros(3, dtype=np.int64)}
-        arrays[field] = np.zeros(shape)
-        with pytest.raises(EngineError, match=f"{field} must hold one entry"):
-            PoolState(labeled_ids=np.array([0]), unlabeled_ids=np.array([1, 2, 3]),
-                      iteration=1, **arrays)
+    @pytest.mark.parametrize("shape", [(239,), (241,), (240, 1), ()])
+    def test_previous_array_not_aligned_rejected(self, start, field, shape):
+        arrays = {"prev_margins": np.zeros(240), "prev_pseudo": np.zeros(240, dtype=np.int64)}
+        arrays[field] = np.zeros(shape, dtype=arrays[field].dtype)
+        self.assert_rejected(start, f"{field} must hold one entry per row", **arrays)
 
 
 class TestTieRule:
@@ -228,11 +251,10 @@ class TestTieRule:
         state, model, _ = init_pool(twins, plan, 0)
         if af == "alamp":
             state, model, _ = step(state, model, af, twins, 0, plan.batch)
-        ids = state.unlabeled_ids
-        key = acquisition.margin_scores(
-            classifier.predict_proba(model, twins.features))[twins.rows_for(ids)]
+        ids = np.setdiff1d(np.arange(240), state.labeled)  # rows, which are the ids here
+        key = acquisition.margin_scores(classifier.predict_proba(model, twins.features))[ids]
         if af == "alamp":
-            key = acquisition.alamp_scores(state.prev_margins, key)
+            key = acquisition.alamp_scores(state.prev_margins[ids], key)
         picks = step(state, model, af, twins, 0, plan.batch)[2].selected_ids
 
         tied = 0
@@ -298,7 +320,7 @@ class TestStepMemory:
         # gathered or rescaled copy of the unlabeled rows
         train, _ = standardize(*train_test_split(relu_dataset(10, 600, 256, 8, 3.0, 0), 0.1, 0))
         state, model, _ = init_pool(train, BudgetPlan(40, 2), 0)
-        pool_bytes = len(state.unlabeled_ids) * train.dim * 8
+        pool_bytes = (train.n_samples - len(state.labeled)) * train.dim * 8
         tracemalloc.start()
         try:
             step(state, model, af, train, 0, 20)
@@ -382,6 +404,25 @@ class TestFeatureSpace:
         assert len(calls) == 1
 
 
+class TestIdsNeverSteerSelection:
+    def test_same_rows_under_other_ids(self, pools):
+        # the engine works in rows: relabeling the space's ids keeps every
+        # pick, fit and accuracy, and only renames the selected ids
+        train, test = pools
+        n = train.n_samples
+
+        def run(ids):
+            space = Dataset(features=train.features, labels=train.labels,
+                            n_classes=train.n_classes, sample_ids=ids)
+            return run_strategies(space, test, AF_NAMES, PLAN, 2)
+
+        for plain, gapped in zip(run(np.arange(n)), run(1000 + 3 * np.arange(n))):
+            assert len(plain.records) == len(gapped.records) == PLAN.iterations
+            for a, b in zip(plain.records, gapped.records):
+                assert [(i - 1000) // 3 for i in b.selected_ids] == list(a.selected_ids)
+                assert (a.accuracy, a.class_counts) == (b.accuracy, b.class_counts)
+
+
 THREADS_SCRIPT = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -397,8 +438,8 @@ for report in run_strategies(train, test, ("margin", "alamp", "coreset"), Budget
 
 class TestThreadCountInvariance:
     def test_relu_reports_match_at_1_and_2_blas_threads(self, tmp_path):
-        # scoring multiplies the whole 2400 x 512 space by the weights in one
-        # product, past the size at which OpenBLAS splits it over threads
+        # at 512 dims OpenBLAS splits some of the fits' products over threads,
+        # so model bits may differ with the thread count; the reports must not
         script = tmp_path / "relu_run.py"
         script.write_text(THREADS_SCRIPT)
         outputs = {}
