@@ -6,13 +6,13 @@ diversified variants (alamp-div, rand-div, marg-div), driven by a
 deterministic linear one-vs-rest classifier. A run fits, scores and takes
 coreset distances in one feature space, built once by `standardize`.
 
-The acquisition functions take and return arrays aligned by position:
+The acquisition functions take and return numpy arrays aligned by position:
 `margin_scores(probs)` and `pseudo_classes(probs)` give one value per row of
-a `ProbMatrix`, `alamp_scores(prev, curr)` combines two aligned margin arrays,
-and `diversify(ranked_classes, batch)` and `coreset_select(features, labeled,
-batch)` return positions in the ranking and in the space. The engine works
-in rows of the space, whose ids ascend, and maps rows to ids only in the
-records it returns.
+an (n, C) probability array, `alamp_scores(prev, curr)` combines two aligned
+margin arrays, and `diversify(ranked_classes, batch)` and
+`coreset_select(features, labeled, batch)` return positions in the ranking
+and rows of the space. The engine and the dataset derivations work in rows,
+and map rows to ids only in the records and datasets they return.
 """
 
 from .acquisition import (

@@ -4,20 +4,19 @@ Implements random selection, margin uncertainty sampling, greedy k-center
 coreset selection, the cross-iteration certainty-shift score (alamp), and the
 pseudo-class diversification pass used by the *-div strategies.
 
-Per-sample values are arrays aligned by position: `margin_scores` and
-`pseudo_classes` give one value per row of a `ProbMatrix`, `alamp_scores`
-combines two margin arrays of the same samples in the same order, and
-`diversify` and `coreset_select` return positions (in the ranking and in the
-feature space). Ties go to the lowest position; the engine passes rows of a
-space in ascending id order and maps rows to ids only in its records, so its
-ties go to the lowest id, whatever the platform or thread count.
+Every function takes and returns numpy arrays aligned by position:
+`margin_scores` and `pseudo_classes` give one value per row of an (n, C)
+class-probability array, `alamp_scores` combines two margin arrays of the
+same samples in the same order, and `diversify` and `coreset_select` return
+positions (in the ranking and in the rows of the feature space). Ties go to
+the lowest position; the engine passes rows of a space in ascending id order
+and maps rows to ids only in its records, so its ties go to the lowest id,
+whatever the platform or thread count.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .classifier import ProbMatrix
 
 __all__ = [
     "AcquisitionError",
@@ -45,13 +44,12 @@ def _check_batch(batch: int, size: int) -> None:
         raise AcquisitionError(f"batch {batch} exceeds pool size {size}")
 
 
-def margin_scores(probs: ProbMatrix) -> np.ndarray:
-    """Top-2 probability gap of each row of `probs`; the smallest is the most
-    uncertain."""
-    p = probs.probs
-    if p.shape[1] < 2:
+def margin_scores(probs) -> np.ndarray:
+    """Top-2 probability gap of each row of the (n, C) array `probs`; the
+    smallest is the most uncertain."""
+    if probs.shape[1] < 2:
         raise AcquisitionError("margin needs at least 2 classes")
-    top2 = np.partition(p, p.shape[1] - 2, axis=1)[:, -2:]
+    top2 = np.partition(probs, probs.shape[1] - 2, axis=1)[:, -2:]
     return top2[:, 1] - top2[:, 0]
 
 
@@ -94,11 +92,11 @@ def coreset_select(features, labeled, batch: int) -> np.ndarray:
 
     Distances are sqrt(|u|^2 + |c|^2 - 2 u.c) to the nearest centre c, read
     from `features` in place: len(features) x 2048 temporaries per block of
-    labeled rows, len(features) per pick, and the squared norms are summed
-    2048 rows at a time, so no temporary is as large as `features`. A
-    squared distance within the expansion's rounding error,
-    2 (dim + 2) eps (|u|^2 + |c|^2), reads as 0, so coincident points tie
-    exactly and the tie rule holds for them too.
+    labeled rows, len(features) per pick, and the squared norms, read for
+    centres too, are summed once, 2048 rows at a time, so no temporary is as
+    large as `features`. A squared distance within the expansion's rounding
+    error, 2 (dim + 2) eps (|u|^2 + |c|^2), reads as 0, so coincident points
+    tie exactly and the tie rule holds for them too.
     """
     features = np.asarray(features, dtype=np.float64)
     labeled = np.asarray(labeled, dtype=np.int64)
@@ -116,9 +114,9 @@ def coreset_select(features, labeled, batch: int) -> np.ndarray:
         (features[start:start + _BLOCK] ** 2).sum(axis=1, out=u_sq[start:start + _BLOCK])
     tol = 2.0 * (features.shape[1] + 2) * np.finfo(np.float64).eps
 
-    def nearest(block):
-        norms = u_sq[:, None] + (block ** 2).sum(axis=1)
-        sq = features @ block.T
+    def nearest(centres):
+        norms = u_sq[:, None] + u_sq[centres]
+        sq = features @ features[centres].T
         sq *= -2.0
         sq += norms
         norms *= tol
@@ -126,13 +124,13 @@ def coreset_select(features, labeled, batch: int) -> np.ndarray:
         return np.sqrt(sq.min(axis=1))
 
     for start in range(0, len(labeled), _BLOCK):
-        np.minimum(min_dist, nearest(features[labeled[start:start + _BLOCK]]), out=min_dist)
+        np.minimum(min_dist, nearest(labeled[start:start + _BLOCK]), out=min_dist)
 
     picks = []
     for _ in range(batch):
         pick = int(np.argmax(min_dist))  # argmax returns the first (lowest position) max
         picks.append(pick)
-        np.minimum(min_dist, nearest(features[pick:pick + 1]), out=min_dist)
+        np.minimum(min_dist, nearest(slice(pick, pick + 1)), out=min_dist)
         min_dist[pick] = -np.inf
     return np.array(picks, dtype=np.int64)
 
@@ -157,7 +155,7 @@ def diversify(ranked_classes, batch: int) -> np.ndarray:
     return np.argsort(rank, kind="stable")[:batch]
 
 
-def pseudo_classes(probs: ProbMatrix) -> np.ndarray:
-    """Predicted class of each row of `probs` (argmax, ties to the lowest
-    class id)."""
-    return np.argmax(probs.probs, axis=1)
+def pseudo_classes(probs) -> np.ndarray:
+    """Predicted class of each row of the (n, C) array `probs` (argmax, ties
+    to the lowest class id)."""
+    return np.argmax(probs, axis=1)

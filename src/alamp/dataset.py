@@ -2,8 +2,9 @@
 
 A dataset is a dense feature matrix with one integer class label per row,
 its rows in strictly ascending sample-id order, so `rows_for` is one binary
-search. Sample ids are stable: `subset` keeps the original ids, so selections
-made on a derived dataset can be traced back to the source rows.
+search. Sample ids are stable: every derivation (`subset`, a split, an
+imbalanced draw) picks rows, by position or by mask, and keeps their ids, so
+selections made on a derived dataset can be traced back to the source rows.
 """
 
 from __future__ import annotations
@@ -92,13 +93,12 @@ class Dataset:
     def subset(self, sample_ids) -> "Dataset":
         """New Dataset of the given ids' rows, in id order whatever the order
         of the request; ids are preserved."""
-        rows = np.sort(self.rows_for(sample_ids))
-        return Dataset(
-            features=self.features[rows],
-            labels=self.labels[rows],
-            n_classes=self.n_classes,
-            sample_ids=self.sample_ids[rows],
-        )
+        return self._take(np.sort(self.rows_for(sample_ids)))
+
+    def _take(self, rows) -> "Dataset":
+        """The rows at ascending positions or a boolean mask, with their ids."""
+        return Dataset(features=self.features[rows], labels=self.labels[rows],
+                       n_classes=self.n_classes, sample_ids=self.sample_ids[rows])
 
     def class_counts(self) -> np.ndarray:
         """Per-class sample counts, length n_classes."""
@@ -228,14 +228,12 @@ def train_test_split(dataset: Dataset, test_fraction: float, seed: int):
     if counts.min() < 2:
         raise DatasetError(f"class {np.argmin(counts)} has {counts.min()} sample(s), need 2")
     rng = np.random.default_rng(seed)
-    test_ids = []
+    test = np.zeros(dataset.n_samples, dtype=bool)
     for cls in range(dataset.n_classes):
-        ids = dataset.sample_ids[dataset.labels == cls]
-        n_test = int(np.clip(round(test_fraction * len(ids)), 1, len(ids) - 1))
-        test_ids.append(rng.choice(ids, size=n_test, replace=False))
-    test_ids = np.concatenate(test_ids)
-    train_ids = np.setdiff1d(dataset.sample_ids, test_ids)
-    return dataset.subset(train_ids), dataset.subset(test_ids)
+        rows = np.flatnonzero(dataset.labels == cls)
+        n_test = int(np.clip(round(test_fraction * len(rows)), 1, len(rows) - 1))
+        test[rng.choice(rows, size=n_test, replace=False)] = True
+    return dataset._take(~test), dataset._take(test)
 
 
 def standardize(train: Dataset, test: Dataset):
@@ -312,8 +310,8 @@ def induce_imbalance(dataset: Dataset, target_ir: float, min_per_class: int,
         raise DatasetError(
             f"achieved ir {achieved:.4f} misses target {target_ir} by more than 0.02")
 
-    keep = []
+    keep = np.zeros(dataset.n_samples, dtype=bool)
     for pos, cls in enumerate(perm):
-        ids_in_class = dataset.sample_ids[dataset.labels == cls]
-        keep.append(rng.choice(ids_in_class, size=int(counts[pos]), replace=False))
-    return dataset.subset(np.concatenate(keep))
+        rows = np.flatnonzero(dataset.labels == cls)
+        keep[rng.choice(rows, size=int(counts[pos]), replace=False)] = True
+    return dataset._take(keep)

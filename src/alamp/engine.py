@@ -150,7 +150,7 @@ def _select(state: PoolState, unlabeled: np.ndarray, model: Model, af: str,
 
     # alamp and alamp-div rank by the shift from the previous model's
     # margins, and alamp-div spreads over its pseudo classes.
-    probs = classifier.predict_proba(model, train.features)
+    probs = classifier.predict_proba(model, train.features).probs
     margins = acquisition.margin_scores(probs)
     pseudo = acquisition.pseudo_classes(probs)
     if af == "rand-div":

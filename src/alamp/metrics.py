@@ -97,16 +97,19 @@ def imbalance_profile(report: Report):
 
 
 def _write(path, format: str, payload, csv_header: str, csv_rows) -> None:
-    """Write `payload` as indented json, or the csv header then its rows."""
+    """Write `payload` as indented json, or the csv header then its rows; a
+    non-finite number in `payload` raises ValueError before the file opens."""
     if format not in REPORT_FORMATS:
         raise ValueError(f"unknown format {format!r}")
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    if format == "csv":
+        text = "".join(row + "\n" for row in (csv_header, *csv_rows))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if format == "json":
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        else:
-            fh.write(csv_header + "\n")
-            fh.writelines(row + "\n" for row in csv_rows)
+        fh.write(text)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite number {token} in report")
 
 
 def _report_payload(report: Report) -> dict:
@@ -131,11 +134,11 @@ def write_report(report: Report, path, format: str = "json") -> None:
 
 
 def read_report(path) -> Report:
-    """Inverse of write_report(format='json'); raises ValueError when a
-    record's `labeled` or `ir` disagrees with its `class_counts`, or when the
-    iteration numbers `k` are not 0..len-1, each once."""
+    """Inverse of write_report(format='json'); raises ValueError on a NaN or
+    Infinity token, a record whose `labeled` or `ir` disagrees with its
+    `class_counts`, or iteration numbers `k` other than 0..len-1, each once."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        payload = json.load(fh, parse_constant=_reject_constant)
     meta = RunMeta(
         af=payload["meta"]["af"],
         seed=payload["meta"]["seed"],

@@ -7,6 +7,7 @@ runtime (a few minutes); everything else is fast.
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ import pytest
 
 from alamp import acquisition, classifier, engine, metrics
 from alamp.acquisition import alamp_scores, coreset_select, margin_scores
-from alamp.classifier import ProbMatrix, gradients, objective, predict, predict_proba
+from alamp.classifier import gradients, objective, predict, predict_proba
 from alamp.dataset import (
     imbalance_ratio,
     induce_imbalance,
@@ -26,6 +27,7 @@ from alamp.dataset import (
 )
 from alamp.engine import BudgetPlan, init_pool, run_experiment, step
 from alamp.metrics import average_accuracy, write_report
+from test_engine import relu_dataset
 
 PASS_LINE = "ACCEPTANCE {num} ({name}): PASS"
 
@@ -52,7 +54,7 @@ def coreset_rows(features, labeled, unlabeled, batch):
 
 def test_criterion_1_formula_fidelity():
     start = time.time()
-    pm = ProbMatrix(probs=np.array([[0.6, 0.3, 0.1]]))
+    pm = np.array([[0.6, 0.3, 0.1]])
     assert abs(margin_scores(pm)[0] - 0.3) <= 1e-12
 
     assert abs(alamp_scores([0.8], [0.2])[0] - 0.6) <= 1e-12
@@ -158,12 +160,7 @@ def test_criterion_3_numerical_soundness():
     report_pass(3, "numerical soundness")
 
 
-def test_criterion_4_protocol_invariants():
-    full = make_synthetic(5, 1000, 8, 0.6, 0)
-    train, test = train_test_split(full, 0.2, 1)
-    plan = BudgetPlan(3200, 16)
-    assert plan.batch == 200
-
+def check_protocol_invariants(train, plan):
     state, model, _ = init_pool(train, plan, 0)
     seen = set(train.sample_ids[state.labeled].tolist())
     labeled_counts = [len(state.labeled)]
@@ -179,15 +176,31 @@ def test_criterion_4_protocol_invariants():
         assert seen.isdisjoint(record.selected_ids)  # no relabeling
         seen.update(record.selected_ids)
         assert set(labeled_ids) == seen
-    assert records == 16
-    assert labeled_counts == list(range(200, 3201, 200))
+    assert records == plan.iterations
+    assert labeled_counts == list(range(plan.batch, plan.total_budget + 1, plan.batch))
 
     # alamp's first selection equals margin's under a shared seed
     state0, model0, _ = init_pool(train, plan, 3)
     _, _, rec_alamp = step(state0, model0, "alamp", train, 3, plan.batch)
     _, _, rec_margin = step(state0, model0, "margin", train, 3, plan.batch)
     assert rec_alamp.selected_ids == rec_margin.selected_ids
+
+
+def test_criterion_4_protocol_invariants():
+    full = make_synthetic(5, 1000, 8, 0.6, 0)
+    train, test = train_test_split(full, 0.2, 1)
+    plan = BudgetPlan(3200, 16)
+    assert plan.batch == 200
+    check_protocol_invariants(train, plan)
     report_pass(4, "protocol invariants")
+
+
+def test_criterion_4_protocol_invariants_relu():
+    # embedding-like features: a 2,400-row pool of ReLU features in 128 dims,
+    # batch 100 over 6 iterations (about 2.3 s on a 2-vCPU x86 box)
+    train, _ = train_test_split(relu_dataset(10, 300, 128, 8, 1.0, 0), 0.2, 1)
+    check_protocol_invariants(train, BudgetPlan(600, 6))
+    report_pass(4, "protocol invariants, ReLU features")
 
 
 DETERMINISM_SCRIPT = """
@@ -201,10 +214,24 @@ rep = run_experiment(train, test, "alamp-div", BudgetPlan(120, 3), 5)
 write_report(rep, sys.argv[1])
 """
 
+# The ReLU golden's configuration (tests/test_golden.py); argv[2] is the
+# tests directory, which holds the generator.
+RELU_DETERMINISM_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[2])
+import alamp
+from alamp.engine import BudgetPlan, run_experiment
+from alamp.metrics import write_report
+from test_engine import relu_dataset
+train, test = alamp.train_test_split(relu_dataset(10, 40, 128, 8, 1.0, 0), 0.2, 1)
+rep = run_experiment(train, test, "alamp-div", BudgetPlan(90, 3), 5)
+write_report(rep, sys.argv[1])
+"""
 
-def test_criterion_5_determinism(tmp_path):
+
+def check_determinism(tmp_path, source, *args):
     script = tmp_path / "det_run.py"
-    script.write_text(DETERMINISM_SCRIPT)
+    script.write_text(source)
     outputs = []
     for tag, threads in (("a", "1"), ("b", "1"), ("c", "4")):
         out = tmp_path / f"report_{tag}.json"
@@ -212,11 +239,20 @@ def test_criterion_5_determinism(tmp_path):
                    OMP_NUM_THREADS=threads,
                    OPENBLAS_NUM_THREADS=threads,
                    MKL_NUM_THREADS=threads)
-        subprocess.run([sys.executable, str(script), str(out)], check=True, env=env)
+        subprocess.run([sys.executable, str(script), str(out), *args], check=True, env=env)
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1], "repeat with same seed differs"
     assert outputs[0] == outputs[2], "thread count changes the report"
+
+
+def test_criterion_5_determinism(tmp_path):
+    check_determinism(tmp_path, DETERMINISM_SCRIPT)
     report_pass(5, "determinism")
+
+
+def test_criterion_5_determinism_relu(tmp_path):
+    check_determinism(tmp_path, RELU_DETERMINISM_SCRIPT, str(pathlib.Path(__file__).parent))
+    report_pass(5, "determinism, ReLU features")
 
 
 def test_criterion_6_imbalance_tooling():

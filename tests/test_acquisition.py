@@ -11,11 +11,10 @@ from alamp.acquisition import (
     pseudo_classes,
     random_select,
 )
-from alamp.classifier import ProbMatrix
 
 
 def probs_of(rows):
-    return ProbMatrix(probs=np.asarray(rows, dtype=np.float64))
+    return np.asarray(rows, dtype=np.float64)
 
 
 def diversify(ordered, pseudo, batch):

@@ -31,6 +31,7 @@ from alamp.classifier import (
     accuracy,
 )
 from alamp.dataset import Dataset, make_synthetic, standardize, train_test_split
+from test_engine import relu_dataset
 
 
 class TestClassWeights:
@@ -95,7 +96,8 @@ class TestTrain:
     def test_relu_embeddings_train_finite(self):
         # the fixed step 0.1 / (1 + reg) diverged here at reg 1e-3, 1e-2 and
         # 0.1, and its best finite fit (reg 10) was 0.755 accurate on its rows
-        features, labels = lowrank_relu(10, 100, 512, 8, 0)
+        d = relu_dataset(10, 100, 512, 8, 1.0, 0)
+        features, labels = d.features, d.labels
         cw = class_weights(np.bincount(labels))
         with np.errstate(all="raise"):
             reg = select_reg_param(features, labels)
@@ -279,15 +281,6 @@ class TestFit:
         assert model.biases.tobytes() == expected.biases.tobytes()
 
 
-def lowrank_relu(n_classes, per_class, dim, rank, seed):
-    """Embedding-like features: ReLU of a random map of a rank-`rank` latent."""
-    rng = np.random.default_rng(seed)
-    latent = np.repeat(rng.normal(size=(n_classes, rank)), per_class, axis=0)
-    latent += rng.normal(size=latent.shape)
-    features = np.maximum(latent @ rng.normal(0.0, rank ** -0.5, size=(rank, dim)), 0.0)
-    return features, np.repeat(np.arange(n_classes), per_class)
-
-
 def skewed_blobs(n_classes, per_class, dim, seed):
     """Gaussian blobs whose class sizes fall linearly from per_class to a third
     of it, so cost-sensitive sample weights differ from 1."""
@@ -345,7 +338,8 @@ def constant_column():
 
 
 def relu_rows(per_class, dim):
-    features, labels = lowrank_relu(4, per_class, dim, 8, 3)
+    d = relu_dataset(4, per_class, dim, 8, 1.0, 3)
+    features, labels = d.features, d.labels
     return features, class_weights(np.bincount(labels))[labels]
 
 
@@ -478,7 +472,8 @@ class TestGridDescent:
         # at the fixed step 0.1 / (1 + reg) the three smallest regularizations
         # diverged here; the curvature bound keeps all five finite, each equal
         # to its lone fit and close to the reference
-        features, labels = lowrank_relu(10, 100, 512, 8, 0)
+        d = relu_dataset(10, 100, 512, 8, 1.0, 0)
+        features, labels = d.features, d.labels
         z, targets, sample_w = descent_problem(features, labels)
         weights, biases = _descend(z, targets, sample_w, DEFAULT_REG_GRID)
         assert np.all(np.isfinite(weights)) and np.all(np.isfinite(biases))
@@ -491,7 +486,8 @@ class TestGridDescent:
     # n = 13, 27 and 60 ReLU rows in 512 dims, the row counts of pool-workload CV folds
     @pytest.mark.parametrize("n", [13, 27, 60])
     def test_row_space_lone_fit_equals_joint_candidate(self, n):
-        features, labels = lowrank_relu(10, 6, 512, 8, 2)
+        d = relu_dataset(10, 6, 512, 8, 1.0, 2)
+        features, labels = d.features, d.labels
         rows = np.argsort(np.arange(60) % 6, kind="stable")[:n]  # classes interleaved
         features, labels = features[rows], labels[rows]
         cw = class_weights(np.bincount(labels, minlength=10))
@@ -507,7 +503,8 @@ class TestGridDescent:
     @pytest.mark.parametrize("relu", [False, True])
     def test_row_space_matches_primal_descent(self, relu, n_classes, per_class):
         if relu:
-            features, labels = lowrank_relu(n_classes, per_class, 512, 8, 1)
+            d = relu_dataset(n_classes, per_class, 512, 8, 1.0, 1)
+            features, labels = d.features, d.labels
         else:
             d = make_synthetic(n_classes, per_class, 512, 1.6, 1)
             features, labels = d.features, d.labels
@@ -574,7 +571,8 @@ class TestGridDescent:
     def test_step_rule_takes_eigvalsh_where_the_cap_binds(self, monkeypatch):
         # ReLU rows in 512 dims: the curvature bound binds, so the step needs
         # the exact λmax
-        features, labels = lowrank_relu(10, 6, 512, 8, 0)
+        d = relu_dataset(10, 6, 512, 8, 1.0, 0)
+        features, labels = d.features, d.labels
         z, _, sample_w = descent_problem(features, labels)
         grid = np.array(DEFAULT_REG_GRID)
         calls = count_eigvalsh(monkeypatch)
@@ -616,7 +614,8 @@ class TestGridDescent:
                                                    DEFAULT_REG_GRID, folds, seed)
 
     def test_select_reg_param_on_diverging_fixture_matches_per_reg_loop(self):
-        features, labels = lowrank_relu(10, 40, 512, 8, 1)
+        d = relu_dataset(10, 40, 512, 8, 1.0, 1)
+        features, labels = d.features, d.labels
         with np.errstate(all="ignore"):
             got = select_reg_param(features, labels)
             assert got == per_reg_select_reg_param(features, labels, DEFAULT_REG_GRID)
@@ -631,7 +630,8 @@ class TestGridDescent:
             return descend(*args)
 
         monkeypatch.setattr(classifier, "_descend", dividing_descend)
-        features, labels = lowrank_relu(10, per_class, 512, 8, 0)
+        d = relu_dataset(10, per_class, 512, 8, 1.0, 0)
+        features, labels = d.features, d.labels
         # 120 rows train their folds in one loop, 400 rows on fold threads
         assert (cv_size(labels) >= classifier.THREADED_CV_SIZE) == (per_class == 40)
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
@@ -642,7 +642,8 @@ class TestGridDescent:
         assert divisions == ["divide by zero"] * 3
 
     def test_folds_train_at_once(self, monkeypatch):
-        features, labels = lowrank_relu(10, 40, 512, 8, 0)
+        d = relu_dataset(10, 40, 512, 8, 1.0, 0)
+        features, labels = d.features, d.labels
         assert cv_size(labels) >= classifier.THREADED_CV_SIZE
         barrier = threading.Barrier(3, timeout=20)
         threads = set()
@@ -658,7 +659,8 @@ class TestGridDescent:
         assert len(threads) == 3
 
     def test_small_folds_train_in_turn_on_the_calling_thread(self, monkeypatch):
-        features, labels = lowrank_relu(10, 12, 512, 8, 0)
+        d = relu_dataset(10, 12, 512, 8, 1.0, 0)
+        features, labels = d.features, d.labels
         assert cv_size(labels) < classifier.THREADED_CV_SIZE
         assignment = _stratified_folds(labels, 3, 0)
         calls = []

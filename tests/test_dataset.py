@@ -369,6 +369,25 @@ class TestTrainTestSplit:
             train_test_split(d, 0.3, 0)
 
 
+class TestIdsNeverSteerDerivations:
+    # the same rows under ids 0..n-1 and under 1000 + 3 * row: splits and
+    # imbalanced draws pick rows, so both keep the same rows
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_rows_under_other_ids(self, seed):
+        plain = make_synthetic(6, 30, 3, 0.5, seed)
+        gapped = Dataset(features=plain.features, labels=plain.labels,
+                         n_classes=plain.n_classes, sample_ids=1000 + 3 * plain.sample_ids)
+        derived = [
+            (train_test_split(plain, 0.25, seed), train_test_split(gapped, 0.25, seed)),
+            ((induce_imbalance(plain, 0.5, 2, seed),), (induce_imbalance(gapped, 0.5, 2, seed),)),
+        ]
+        for by_plain, by_gapped in derived:
+            for a, b in zip(by_plain, by_gapped, strict=True):
+                assert np.array_equal(b.sample_ids, 1000 + 3 * a.sample_ids)
+                assert np.array_equal(a.features, b.features)
+                assert np.array_equal(a.labels, b.labels)
+
+
 class TestStandardize:
     @pytest.fixture
     def pools(self):

@@ -120,9 +120,8 @@ class TestStep:
         every_row = np.zeros((n, train.n_classes))
         every_row[np.arange(n), every_class] = (1 + m) / 2
         every_row[np.arange(n), every_class + 1] = (1 - m) / 2
-        prev = classifier.ProbMatrix(probs=every_row)
-        state = dataclasses.replace(state, prev_margins=acquisition.margin_scores(prev),
-                                    prev_pseudo=acquisition.pseudo_classes(prev))
+        state = dataclasses.replace(state, prev_margins=acquisition.margin_scores(every_row),
+                                    prev_pseudo=acquisition.pseudo_classes(every_row))
         rows, prev_class = every_row[unlabeled], every_class[unlabeled]
         curr = classifier.predict_proba(model, train.features[unlabeled])
 
@@ -159,7 +158,7 @@ class TestStep:
         for _ in range(3):
             picker = model
             state, model, _ = step(state, model, "alamp", train, 0, PLAN.batch)
-            probs = classifier.predict_proba(picker, train.features)
+            probs = classifier.predict_proba(picker, train.features).probs
             assert state.prev_margins.shape == state.prev_pseudo.shape == (train.n_samples,)
             assert np.array_equal(state.prev_margins, acquisition.margin_scores(probs))
             assert np.array_equal(state.prev_pseudo, acquisition.pseudo_classes(probs))
@@ -252,7 +251,7 @@ class TestTieRule:
         if af == "alamp":
             state, model, _ = step(state, model, af, twins, 0, plan.batch)
         ids = np.setdiff1d(np.arange(240), state.labeled)  # rows, which are the ids here
-        key = acquisition.margin_scores(classifier.predict_proba(model, twins.features))[ids]
+        key = acquisition.margin_scores(classifier.predict_proba(model, twins.features).probs)[ids]
         if af == "alamp":
             key = acquisition.alamp_scores(state.prev_margins[ids], key)
         picks = step(state, model, af, twins, 0, plan.batch)[2].selected_ids

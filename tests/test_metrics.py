@@ -153,6 +153,38 @@ class TestSerialization:
             write_report(make_report([0.5]), tmp_path / "r.xml", format="xml")
 
 
+class TestNonFiniteNumbers:
+    # json has no NaN or Infinity: a report or aggregate holding one fails
+    # loudly, in either format, and leaves no file behind
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("format", ["json", "csv"])
+    def test_report_with_non_finite_accuracy_not_written(self, tmp_path, format, value):
+        path = tmp_path / f"r.{format}"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_report(make_report([0.5, value]), path, format=format)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    @pytest.mark.parametrize("format", ["json", "csv"])
+    def test_aggregate_with_non_finite_mean_not_written(self, tmp_path, format, value):
+        agg = aggregate([make_report([0.5, 0.6])])
+        agg["rows"][1]["acc_mean"] = value
+        path = tmp_path / f"agg.{format}"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_aggregate(agg, path, format=format)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_read_report_rejects_non_finite_token(self, tmp_path, token):
+        path = tmp_path / "r.json"
+        write_report(make_report([0.5, 0.6]), path)
+        text = path.read_text()
+        assert text.count('"acc": 0.6') == 1
+        path.write_text(text.replace('"acc": 0.6', f'"acc": {token}'))
+        with pytest.raises(ValueError, match=f"non-finite number {token}"):
+            read_report(path)
+
+
 class TestAggregate:
     def test_mean_and_population_std(self, tmp_path):
         reps = [make_report([0.4, 0.6]), make_report([0.6, 0.8])]
