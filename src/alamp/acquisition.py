@@ -1,7 +1,8 @@
 """Acquisition functions: score and select unlabeled samples for annotation.
 
 Implements random selection, margin uncertainty sampling, greedy k-center
-coreset selection, the cross-iteration certainty-shift score (alamp), and the
+coreset selection (Sener & Savarese's Core-Set baseline, picked by lazy
+greedy), the cross-iteration certainty-shift score (alamp), and the
 pseudo-class diversification pass used by the *-div strategies.
 
 Every function takes and returns numpy arrays aligned by position:
@@ -33,7 +34,7 @@ class AcquisitionError(ValueError):
     """Raised for invalid acquisition inputs."""
 
 
-# Rows per block of the distance computations in `coreset_select`.
+# Centres per block of `coreset_select`'s labeled pass, and rows per block of its norms.
 _BLOCK = 2048
 
 
@@ -82,6 +83,23 @@ def random_select(pool_ids, batch: int, seed: int) -> np.ndarray:
     return rng.choice(pool, size=batch, replace=False)
 
 
+def _nearest(features, u_sq, rows, centres) -> np.ndarray:
+    """Distance from each of `rows` of `features` to its nearest `centres`
+    row (row positions or slices), `u_sq` holding every row's squared norm.
+
+    sqrt(|u|^2 + |c|^2 - 2 u.c), one matrix product; a squared distance
+    within the expansion's rounding error, 2 (dim + 2) eps (|u|^2 + |c|^2),
+    reads as 0, so coincident points tie exactly."""
+    tol = 2.0 * (features.shape[1] + 2) * np.finfo(np.float64).eps
+    norms = u_sq[rows, None] + u_sq[centres]
+    sq = features[rows] @ features[centres].T
+    sq *= -2.0
+    sq += norms
+    norms *= tol
+    sq[sq <= norms] = 0.0
+    return np.sqrt(sq.min(axis=1))
+
+
 def coreset_select(features, labeled, batch: int) -> np.ndarray:
     """Greedy k-center selection (min-max coverage of the feature space).
 
@@ -90,13 +108,21 @@ def coreset_select(features, labeled, batch: int) -> np.ndarray:
     the picks as row positions; ties go to the lowest position. Labeled rows
     start at -inf, so none is ever picked.
 
-    Distances are sqrt(|u|^2 + |c|^2 - 2 u.c) to the nearest centre c, read
-    from `features` in place: len(features) x 2048 temporaries per block of
-    labeled rows, len(features) per pick, and the squared norms, read for
-    centres too, are summed once, 2048 rows at a time, so no temporary is as
-    large as `features`. A squared distance within the expansion's rounding
-    error, 2 (dim + 2) eps (|u|^2 + |c|^2), reads as 0, so coincident points
-    tie exactly and the tie rule holds for them too.
+    Distances are read from `features` in place (`_nearest`). The labeled
+    rows are measured against the whole space in blocks of 2048 centres
+    (len(features) x 2048 temporaries), and the squared norms are summed
+    once, 2048 rows at a time, so no temporary is as large as `features`.
+
+    The picks are lazy (Minoux's lazy greedy): each row keeps an upper bound
+    on its distance, exact up to the number of picks it was last measured
+    against, since a distance to the covered rows only falls as picks are
+    added. For each pick the rows with the largest bounds are measured
+    against the picks they have not seen, and the best of them (lowest
+    position among equals) is taken once it lies strictly above every
+    bound left unmeasured; otherwise more rows are measured, up to the whole
+    space, which settles exact ties. Every pick is therefore the eager rule's
+    argmax, up to the last bits of distances that a product over a few rows
+    gives instead of one over the whole space.
     """
     features = np.asarray(features, dtype=np.float64)
     labeled = np.asarray(labeled, dtype=np.int64)
@@ -112,27 +138,37 @@ def coreset_select(features, labeled, batch: int) -> np.ndarray:
     u_sq = np.empty(n)
     for start in range(0, n, _BLOCK):
         (features[start:start + _BLOCK] ** 2).sum(axis=1, out=u_sq[start:start + _BLOCK])
-    tol = 2.0 * (features.shape[1] + 2) * np.finfo(np.float64).eps
-
-    def nearest(centres):
-        norms = u_sq[:, None] + u_sq[centres]
-        sq = features @ features[centres].T
-        sq *= -2.0
-        sq += norms
-        norms *= tol
-        sq[sq <= norms] = 0.0
-        return np.sqrt(sq.min(axis=1))
-
     for start in range(0, len(labeled), _BLOCK):
-        np.minimum(min_dist, nearest(labeled[start:start + _BLOCK]), out=min_dist)
+        np.minimum(min_dist, _nearest(features, u_sq, slice(None), labeled[start:start + _BLOCK]),
+                   out=min_dist)
 
-    picks = []
-    for _ in range(batch):
-        pick = int(np.argmax(min_dist))  # argmax returns the first (lowest position) max
-        picks.append(pick)
-        np.minimum(min_dist, nearest(slice(pick, pick + 1)), out=min_dist)
+    picks = np.empty(batch, dtype=np.int64)
+    # picks each row's bound has been measured against; covered rows need none
+    seen = np.zeros(n, dtype=np.int64)
+    seen[labeled] = batch
+    for k in range(batch):
+        width = 16  # rows measured first; 4x more until the pick is settled
+        while True:
+            if width < n:
+                order = np.argpartition(min_dist, n - width - 1)
+                top, rest = np.sort(order[n - width:]), min_dist[order[n - width - 1]]
+            else:
+                top, rest = np.arange(n), -np.inf
+            stale = top[seen[top] < k]
+            if len(stale):
+                centres = picks[seen[stale].min():k]
+                min_dist[stale] = np.minimum(min_dist[stale],
+                                             _nearest(features, u_sq, stale, centres))
+                seen[stale] = k
+            # argmax returns the first (lowest position) max
+            pick = int(top[np.argmax(min_dist[top])])
+            if min_dist[pick] > rest or width >= n:
+                break
+            width *= 4
+        picks[k] = pick
         min_dist[pick] = -np.inf
-    return np.array(picks, dtype=np.int64)
+        seen[pick] = batch
+    return picks
 
 
 def diversify(ranked_classes, batch: int) -> np.ndarray:

@@ -14,20 +14,24 @@ So no step diverges, on ReLU embeddings too, and where the fixed step
 is n x n, built from the Gram matrix, when the descent runs in the rows' span
 (below), else (d+1) x (d+1). Two products of the form with itself bound λmax
 from above; where that bound keeps the fixed step, no `eigvalsh` runs, and
-elsewhere one per descent gives λmax.
+elsewhere one per descent gives λmax. Where the form's trace alone shows
+that the bound cannot keep the fixed step, as on ReLU rows in 512 dims, the
+two products are skipped.
 
 One descent kernel trains a whole regularization grid jointly, the candidates
-stacked on a leading axis of the parameters. Its margins are one class-major
-(G, C, n) buffer: one matrix product per candidate fills it, of the shape a
-lone fit has, and the step size, the sample weights and the L2 decay are
-folded into the elementwise hinge pass. Every model it yields is therefore
-bit-identical to training that candidate on its own; `train` is the kernel
-with a grid of one. `gradients`/`objective` remain the reference formula,
-which the kernel matches within rounding, its operations being ordered
-differently. With fewer rows than dims, descent from zero never leaves the
-rows' span, so the kernel descends on n coefficients per class through the
-n x n Gram matrix instead of on d weights, and forms the weights once at the
-end; the two forms agree in exact arithmetic.
+stacked on a leading axis of the parameters, and several problems (CV's
+folds) at once, on the axis before it. Its margins are one class-major
+(P, G, C, n) buffer: one matrix product per problem and candidate fills it,
+of the shape a lone fit has, and the step size, the sample weights and the
+L2 decay are folded into the elementwise hinge pass. Every model it yields
+is therefore bit-identical to training that candidate on its own; `train`
+is the kernel with one problem and a grid of one. `gradients`/`objective`
+remain the reference formula, which the kernel matches within rounding, its
+operations being ordered differently. With fewer rows than dims, descent
+from zero never leaves the rows' span, so the kernel descends on n
+coefficients per class through the n x n Gram matrix instead of on d
+weights, and forms the weights once at the end; the two forms agree in
+exact arithmetic.
 
 A model that is not finite is never used: CV does not select such a
 candidate, and `train` raises `ClassifierError` for one.
@@ -36,18 +40,21 @@ candidate, and `train` raises `ClassifierError` for one.
 regularization, then the rows are trained; the final fit and every CV fold
 weight their classes by one rule, `_weights` (cost-sensitive, or unit weights).
 
-Cross-validation trains a small problem's folds in one loop on the calling
-thread, and a larger one's concurrently, one thread per fold. The folds are
-independent, and numpy releases the interpreter lock inside their products
-and array loops; but in a small fit each numpy call takes a few µs, so fold
-threads mostly hand the lock back and forth, and a loop is about twice as
-fast. The size is candidates x classes x CV rows, and threads start at
-THREADED_CV_SIZE. On a 2-vCPU machine, at 1 and 2 BLAS threads, fold threads
-overtake the loop between 9k and 20k. Threads start below that range, at 8k:
-near the crossover the loop gains little, and a run whose fits grow across
-it may lose more than that in its later threaded fits. Either way each fold
-runs the same code and fold accuracies are reduced in fold order, so the
-chosen regularization is the one a serial loop picks.
+Cross-validation trains a small problem's folds in one stacked descent on
+the calling thread (`_descend` takes a list of problems), and a larger
+one's concurrently, one thread per fold. The folds are independent, and
+numpy releases the interpreter lock inside their products and array loops;
+but in a small fit each numpy call takes a few µs, so fold threads mostly
+hand the lock back and forth, and one descent, whose elementwise passes
+each run once over every fold, does far fewer calls. The size is
+candidates x classes x CV rows, and threads start at THREADED_CV_SIZE. On a
+2-vCPU machine, at 1 and 2 BLAS threads, fold threads overtook a loop over
+the folds between 9k and 20k. Threads start below that range, at 8k: near
+the crossover the calling thread gains little, and a run whose fits grow
+across it may lose more than that in its later threaded fits. Either way
+each fold's model is the bits of its lone descent and fold accuracies are
+reduced in fold order, so the chosen regularization is the one a serial
+loop picks.
 
 Models fit and score the features they are given, with no scaler of their
 own: a run's features are standardized once, by `dataset.standardize`.
@@ -213,6 +220,17 @@ def _curvature_form(z, sample_w, gram=None) -> np.ndarray:
     return form
 
 
+def _power_bound(form, trace):
+    """(tr F⁸)^(1/8) of the positive semidefinite form F, from two products of
+    F / tr F with itself: the trace scaling keeps their entries within 1, so
+    nothing overflows, and what underflows is far below the bound's rounding."""
+    with np.errstate(under="ignore"):
+        power = form / trace
+        power = power @ power
+        power = power @ power
+        return trace * np.sqrt(np.sqrt(np.sqrt((power * power).sum())))
+
+
 def _step_sizes(z, sample_w, regs, gram=None) -> np.ndarray:
     """Step of each candidate: min(0.1 / (1 + reg), 1.5 / L).
 
@@ -221,48 +239,65 @@ def _step_sizes(z, sample_w, regs, gram=None) -> np.ndarray:
     cannot diverge; 1.5 / L leaves the fixed step 0.1 / (1 + reg) in place
     wherever it was already stable.
 
-    F is positive semidefinite, so λmax <= ‖F⁴‖_F^(1/4) = (tr F⁸)^(1/8), which
-    two products of F / tr F with itself give: the trace scaling keeps their
-    entries within 1, so nothing overflows, and what underflows is far below
-    the bound's rounding. When that bound, raised by 1e-6 to cover rounding
-    here and in `eigvalsh`, already keeps the fixed step for every candidate,
-    the fixed step is returned: the exact rule would return the same bits,
-    its λmax being no larger. Otherwise λmax is taken with one `eigvalsh`.
+    F is positive semidefinite, so λmax <= ‖F⁴‖_F^(1/4) = (tr F⁸)^(1/8)
+    (`_power_bound`). When that bound, raised by 1e-6 to cover rounding here
+    and in `eigvalsh`, already keeps the fixed step for every candidate, the
+    fixed step is returned: the exact rule would return the same bits, its
+    λmax being no larger. Otherwise λmax is taken with one `eigvalsh`.
+
+    The bound is never below tr F · m^(-7/8) for an m x m form: its m
+    eigenvalues sum to tr F, and a sum of eighth powers with a fixed sum is
+    least when they are equal. So when even that floor rules out the fixed
+    step for some candidate, `eigvalsh` runs without the bound's products.
+    The bound's computed value lies within far less than 1e-6 of the exact
+    one, and the floor within a few ulps of its own, so the raised bound
+    never falls below the floor: whenever the floor rules the fixed step
+    out, the bound would have too, and the steps are the same bits.
     """
     regs = np.asarray(regs, dtype=np.float64)
     fixed = 0.1 / (1.0 + regs)
     form = _curvature_form(z, sample_w, gram)
     trace = np.trace(form)
-    with np.errstate(under="ignore"):
-        power = form / trace
-        power = power @ power
-        power = power @ power
-        bound = trace * np.sqrt(np.sqrt(np.sqrt((power * power).sum())))
-    if np.all(fixed <= 1.5 / (2.0 * (bound * (1.0 + 1e-6)) + 2.0 * regs)):
-        return fixed
+    floor = trace * len(form) ** -0.875
+    if np.all(fixed <= 1.5 / (2.0 * floor + 2.0 * regs)):
+        bound = _power_bound(form, trace)
+        if np.all(fixed <= 1.5 / (2.0 * (bound * (1.0 + 1e-6)) + 2.0 * regs)):
+            return fixed
     lam = float(np.linalg.eigvalsh(form)[-1])
     return np.minimum(fixed, 1.5 / (2.0 * lam + 2.0 * regs))
 
 
-def _descend(z, targets, sample_w, regs):
-    """GD_ITERATIONS full-batch steps from zero for every reg in `regs` at once.
+def _descend(problems, regs):
+    """GD_ITERATIONS full-batch steps from zero for every problem and every
+    reg in `regs` at once.
 
-    Each candidate takes the step lr that `_step_sizes` gives it. Candidates
-    sit on a leading axis: biases (G, C), margins class-major in one
-    contiguous (G, C, n) buffer, so the bias add, the elementwise passes and
-    the bias sum over n run along contiguous rows. A step folds everything
-    but the matrix products into the hinge: with coef = -2 lr w y / n and
-    decay = 1 - 2 lr reg, the margins M become coef * max(0, 1 - y M), which
-    is lr times the gradient w.r.t. the margins, and the update is
-    params *= decay, then params -= that gradient carried to the params, and
-    biases -= its sum over n. This is the step `gradients` spells out, with
-    its operations ordered differently, so it agrees with that formula within
-    rounding, not bit for bit.
+    Each problem is (z, targets, sample_w), with the same dims and classes,
+    and yields one (weights (G, C, d), biases (G, C)) pair, in order. A
+    problem with fewer rows than dims descends in the rows' span, the others
+    on the weights (below); each group is stacked on a leading axis of
+    buffers padded to its longest problem, and candidates sit on the next
+    axis: biases (P, G, C), margins class-major in one (P, G, C, n) buffer,
+    so the bias add, the elementwise passes and the bias sums over n run
+    along contiguous rows.
 
-    Each matrix product is one GEMM per candidate, of the shape a lone fit
-    uses, and every elementwise pass and sum treats each candidate's entries
-    alone, so each candidate's model is bit-identical to descending on it
-    alone.
+    Each candidate takes the step lr that `_step_sizes` gives it on its
+    problem. A step folds everything but the matrix products into the hinge:
+    with coef = -2 lr w y / n and decay = 1 - 2 lr reg, the margins M become
+    coef * max(0, 1 - y M), which is lr times the gradient w.r.t. the
+    margins, and the update is params *= decay, then params -= that gradient
+    carried to the params, and biases -= its sum over n. This is the step
+    `gradients` spells out, with its operations ordered differently, so it
+    agrees with that formula within rounding, not bit for bit.
+
+    Each matrix product is one GEMM per problem and candidate, on unpadded
+    views, of the (M, N, K) a lone fit uses: only the leading dimensions
+    differ, and OpenBLAS's kernels give the same bits for that (the tests
+    check it under several). Padding never enters a product's inner
+    dimension or a sum. Each elementwise pass runs once over a whole buffer
+    and treats every entry alone; padded entries have targets and coef 0, so
+    they stay 0. The bias sums run per problem on unpadded views, since
+    numpy's pairwise sum depends on n. So every problem's and candidate's
+    model is bit-identical to descending on it alone.
 
     With at least as many rows as dims, the descent runs on the weights
     W (G, C, d): the margins are W Zᵀ, Zᵀ copied contiguous once, and the
@@ -274,43 +309,74 @@ def _descend(z, targets, sample_w, regs):
     arithmetic both forms take the same steps.
     """
     regs = np.asarray(regs, dtype=np.float64)
-    n, dim = z.shape
-    n_regs, n_classes = len(regs), targets.shape[1]
-    row_space = n < dim
-    gram = z @ z.T if row_space else None
-    lr = _step_sizes(z, sample_w, regs, gram)
-    targets_t = np.ascontiguousarray(targets.T)                  # (C, n)
-    coef = (lr * (-2.0 / n))[:, None, None] * (sample_w * targets_t)
-    decay = (1.0 - 2.0 * lr * regs)[:, None, None]
+    models = [None] * len(problems)
+    for row_space in (True, False):
+        group = [p for p, (z, _, _) in enumerate(problems) if (len(z) < z.shape[1]) == row_space]
+        if group:
+            stacked = _descend_stack([problems[p] for p in group], regs, row_space)
+            for p, model in zip(group, stacked):
+                models[p] = model
+    return models
 
-    margins = np.empty((n_regs, n_classes, n))
-    biases = np.zeros((n_regs, n_classes))
+
+def _descend_stack(problems, regs, row_space):
+    """`_descend` of problems that all take the same form."""
+    n_problems, n_regs = len(problems), len(regs)
+    n_classes, dim = problems[0][1].shape[1], problems[0][0].shape[1]
+    sizes = [len(z) for z, _, _ in problems]
+    shape = (n_problems, n_regs, n_classes, max(sizes))
+    targets_t = np.zeros((n_problems, 1) + shape[2:])
+    coef = np.zeros(shape)
+    decay = np.empty((n_problems, n_regs, 1, 1))
+    bases = []
+    for p, (z, targets, sample_w) in enumerate(problems):
+        n = len(z)
+        gram = z @ z.T if row_space else None
+        lr = _step_sizes(z, sample_w, regs, gram)
+        targets_t[p, 0, :, :n] = targets.T
+        coef[p, :, :, :n] = (lr * (-2.0 / n))[:, None, None] * (sample_w * targets.T)
+        decay[p] = (1.0 - 2.0 * lr * regs)[:, None, None]
+        bases.append(gram if row_space else np.ascontiguousarray(z.T))   # (n, n) or (d, n)
+
+    margins = np.zeros(shape)
+    biases = np.zeros(shape[:3])
     step_b = np.empty_like(biases)
+    # each problem's unpadded views and operands, paired once, so that a step
+    # adds no Python work beyond its calls (fold threads share one lock)
+    cuts = [margins[p, :, :, :n] for p, n in enumerate(sizes)]
     if row_space:
-        basis = gram
-        params = np.zeros_like(margins)                          # A
+        params = np.zeros(shape)                                     # A
+        params_cuts = [params[p, :, :, :n] for p, n in enumerate(sizes)]
     else:
-        basis = np.ascontiguousarray(z.T)                        # (d, n)
-        params = np.zeros((n_regs, n_classes, dim))              # W
+        params = np.zeros(shape[:3] + (dim,))                        # W
+        params_cuts = list(params)
         step = np.empty_like(params)
+        grads = [(cut, z, grad) for cut, (z, _, _), grad in zip(cuts, problems, step)]
+    products = list(zip(params_cuts, bases, cuts))
+    sums = list(zip(cuts, step_b))
+    bias_cols = biases[..., None]
     for _ in range(GD_ITERATIONS):
-        np.matmul(params, basis, out=margins)
-        margins += biases[:, :, None]
+        for params_p, basis, cut in products:
+            np.matmul(params_p, basis, out=cut)
+        margins += bias_cols
         # margins becomes lr times the gradient w.r.t. the margins, in place
         margins *= targets_t
         np.subtract(1.0, margins, out=margins)
         np.maximum(0.0, margins, out=margins)
         margins *= coef
-        margins.sum(axis=2, out=step_b)
+        for cut, total in sums:
+            np.add.reduce(cut, axis=2, out=total)
         params *= decay
         if row_space:
             params -= margins
         else:
-            np.matmul(margins, z, out=step)
+            for cut, z, grad in grads:
+                np.matmul(cut, z, out=grad)
             params -= step
         biases -= step_b
-    weights = params @ z if row_space else params
-    return weights, biases
+    if row_space:
+        return [(a @ z, b) for a, (z, _, _), b in zip(params_cuts, problems, biases)]
+    return list(zip(params, biases))
 
 
 def _problem(labels, cw):
@@ -339,7 +405,7 @@ def train(features, labels, class_weights_vec, reg_param: float) -> Model:
     cw = np.asarray(class_weights_vec, dtype=np.float64)
     _check_fit(features, labels, (reg_param,), len(cw))
     targets, sample_w = _problem(labels, cw)
-    weights, biases = _descend(features, targets, sample_w, (reg_param,))
+    [(weights, biases)] = _descend([(features, targets, sample_w)], (reg_param,))
     if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(biases))):
         raise ClassifierError(f"training diverged at reg_param {reg_param}")
     return Model(weights=weights[0], biases=biases[0], reg_param=float(reg_param))
@@ -365,9 +431,9 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
 
     The whole grid is trained on each fold jointly by the descent kernel;
     every candidate's model is bit-identical to a separate `train` call.
-    Below THREADED_CV_SIZE (candidates x classes x CV rows) the folds train
-    in one loop on the calling thread, in fold order, and a failing fold
-    raises before the next one starts. From that size on they train
+    Below THREADED_CV_SIZE (candidates x classes x CV rows) every fold
+    trains in one `_descend` call on the calling thread, which raises the
+    first error it meets. From that size on they train
     concurrently, one thread each, in copies of the caller's context (so
     `np.errstate` and `np.seterrcall` apply inside them), and a failure
     raises the error of the lowest failing fold once every fold has ended.
@@ -393,18 +459,24 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
     folds = min(folds, min_count)
     assignment = _stratified_folds(labels, folds, seed)
 
-    def fold_accuracies(f):
+    def fold_problem(f):
         tr = assignment != f
-        va = ~tr
         cw = _weights(np.bincount(labels[tr], minlength=n_classes), cost_sensitive)
-        targets, sample_w = _problem(labels[tr], cw)
-        weights, biases = _descend(features[tr], targets, sample_w, grid)
+        return (features[tr], *_problem(labels[tr], cw))
+
+    def accuracies(f, weights, biases):
+        va = assignment == f
         finite = np.isfinite(weights).all(axis=(1, 2)) & np.isfinite(biases).all(axis=1)
         preds = np.argmax(features[va] @ weights.transpose(0, 2, 1) + biases[:, None, :], axis=2)
         return np.where(finite, np.mean(preds == labels[va], axis=1), np.nan)
 
+    def fold_accuracies(f):
+        [model] = _descend([fold_problem(f)], grid)
+        return accuracies(f, *model)
+
     if len(grid) * n_classes * len(labels) < THREADED_CV_SIZE:
-        fold_accs = [fold_accuracies(f) for f in range(folds)]
+        models = _descend([fold_problem(f) for f in range(folds)], grid)
+        fold_accs = [accuracies(f, *model) for f, model in enumerate(models)]
     else:
         with ThreadPoolExecutor(max_workers=folds) as executor:
             futures = [executor.submit(contextvars.copy_context().run, fold_accuracies, f)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from alamp import acquisition
 from alamp.acquisition import (
@@ -11,6 +12,8 @@ from alamp.acquisition import (
     pseudo_classes,
     random_select,
 )
+from alamp.dataset import standardize, train_test_split
+from test_engine import relu_dataset
 
 
 def probs_of(rows):
@@ -315,6 +318,68 @@ class TestCoresetSelect:
     def test_labeled_row_outside_space_rejected(self, labeled):
         with pytest.raises(AcquisitionError, match=r"labeled rows must lie in \[0, 5\)"):
             coreset_select(np.arange(5.0)[:, None], labeled, 1)
+
+
+def relu_space(per_class, dim, seed):
+    """A standardized ReLU training space, as a run builds it."""
+    return standardize(*train_test_split(relu_dataset(10, per_class, dim, 8, 1.0, seed),
+                                         0.1, seed + 1))[0].features
+
+
+def count_measured_rows(monkeypatch):
+    """Rows `coreset_select` measures against its picks, as a list that fills
+    while the patch is in place; the labeled pass measures whole-space slices."""
+    measured = []
+    nearest = acquisition._nearest
+
+    def counting(features, u_sq, rows, centres):
+        if not isinstance(rows, slice):
+            measured.append(len(rows))
+        return nearest(features, u_sq, rows, centres)
+
+    monkeypatch.setattr(acquisition, "_nearest", counting)
+    return measured
+
+
+class TestLazyCoreset:
+    """The lazy picks are the eager rule's: the whole-space pass per pick of
+    `rows_api_coreset`."""
+
+    # points on a small integer grid: many exact duplicates and exact ties
+    # in distance, all computed without rounding
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(2, 120), st.integers(1, 3)),
+                  elements=st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0])), st.data())
+    def test_matches_rows_api_with_duplicates_and_ties(self, feats, data):
+        n = len(feats)
+        labeled = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1,
+                                     unique=True))
+        unlabeled = np.setdiff1d(np.arange(n), labeled)
+        batch = data.draw(st.integers(1, len(unlabeled)))
+        assert np.array_equal(coreset_select(feats, labeled, batch),
+                              rows_api_coreset(feats, labeled, unlabeled, batch))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_eager_picks_on_relu_features(self, seed):
+        features = relu_space(300, 256, seed)
+        rng = np.random.default_rng(seed)
+        for n_labeled in (20, 60, 200):
+            labeled = rng.choice(len(features), n_labeled, replace=False)
+            unlabeled = np.setdiff1d(np.arange(len(features)), labeled)
+            assert np.array_equal(coreset_select(features, labeled, 60),
+                                  rows_api_coreset(features, labeled, unlabeled, 60))
+
+    def test_measures_few_rows_per_pick_of_a_pool_sized_space(self, monkeypatch):
+        # the pool workload's shape: 18k ReLU rows in 512 dims, 20 labeled, 20 picks
+        features = relu_space(2000, 512, 3)
+        assert features.shape == (18000, 512)
+        labeled = np.random.default_rng(3).choice(len(features), 20, replace=False)
+        measured = count_measured_rows(monkeypatch)
+        picks = coreset_select(features, labeled, 20)
+        assert sum(measured) < 0.05 * len(features) * 20
+        monkeypatch.undo()
+        unlabeled = np.setdiff1d(np.arange(len(features)), labeled)
+        assert np.array_equal(picks, rows_api_coreset(features, labeled, unlabeled, 20))
 
 
 def reference_diversify(ordered, pseudo, batch):

@@ -197,10 +197,11 @@ class TestSelectRegParam:
         descend = classifier._descend
 
         def nan_weights_at(bad):
-            def patched(z, targets, sample_w, regs):
-                weights, biases = descend(z, targets, sample_w, regs)
-                weights[np.isin(regs, bad)] = np.nan
-                return weights, biases
+            def patched(problems, regs):
+                models = descend(problems, regs)
+                for weights, _ in models:
+                    weights[np.isin(regs, bad)] = np.nan
+                return models
             return patched
 
         monkeypatch.setattr(classifier, "_descend", nan_weights_at([chosen]))
@@ -255,11 +256,12 @@ class TestFit:
     def test_non_finite_final_model_raises(self, monkeypatch, cv_calls):
         descend = classifier._descend
 
-        def final_fit_diverges(z, targets, sample_w, regs):
-            weights, biases = descend(z, targets, sample_w, regs)
+        def final_fit_diverges(problems, regs):
+            models = descend(problems, regs)
             if len(regs) == 1:  # the final fit; CV trains the whole grid
-                biases[:] = np.nan
-            return weights, biases
+                for _, biases in models:
+                    biases[:] = np.nan
+            return models
 
         monkeypatch.setattr(classifier, "_descend", final_fit_diverges)
         with pytest.raises(ClassifierError, match="diverged"):
@@ -344,30 +346,32 @@ def relu_rows(per_class, dim):
 
 
 # Inputs of `_step_sizes`, each with the form `_descend` would take (rows form
-# below `dim` rows, else the (dim+1)^2 form), and whether the power bound alone
-# certifies the fixed step there; where it does not, the cap binds, except at
-# "blobs x 1.05", whose λmax lies below the cap and its bound above it. At
-# "blobs x 1.1" λmax lies just above the cap of the three smallest regs. One
-# row has a rank-1 form, whose bound is λmax itself: 7.5 keeps the fixed step,
-# 7.51 passes the cap 7.5 + 6.5 reg of reg 1e-3.
+# below `dim` rows, else the (dim+1)^2 form), whether the power bound alone
+# certifies the fixed step there, and whether its floor tr F m^(-7/8) already
+# rules the fixed step out, so that the bound is skipped (as on the pool
+# workload's ReLU rows forms). Where the bound does not certify, the cap
+# binds, except at "blobs x 1.05", whose λmax lies below the cap and its
+# bound above it. At "blobs x 1.1" λmax lies just above the cap of the three
+# smallest regs. One row has a rank-1 form, whose bound is λmax itself: 7.5
+# keeps the fixed step, 7.51 passes the cap 7.5 + 6.5 reg of reg 1e-3.
 STEP_RULE_CASES = {
-    "blobs, dims form": (lambda: blob_rows(200, 16), True),
-    "blobs x 0.45, rows form": (lambda: blob_rows(30, 64, 0.45), True),
-    "blobs x 1.05, dims form": (lambda: blob_rows(200, 16, 1.05), False),
-    "blobs x 1.1, dims form": (lambda: blob_rows(200, 16, 1.1), False),
-    "blobs x 3, dims form": (lambda: blob_rows(200, 16, 3.0), False),
-    "relu, rows form": (lambda: relu_rows(10, 512), False),
-    "relu, dims form": (lambda: relu_rows(60, 32), False),
-    "constant column": (constant_column, False),
-    "1 row": (lambda: blob_rows(1, 8), True),
-    "2 rows": (lambda: blob_rows(2, 8), False),
-    "3 rows": (lambda: blob_rows(3, 8), False),
-    "1 row, λmax 7.5": (lambda: (np.array([[np.sqrt(6.5), 0.0]]), np.ones(1)), True),
-    "1 row, λmax 7.51": (lambda: (np.array([[np.sqrt(6.51), 0.0]]), np.ones(1)), False),
-    "blobs x 1e-150, dims form": (lambda: blob_rows(200, 16, 1e-150), True),
-    "blobs x 1e-150, rows form": (lambda: blob_rows(30, 64, 1e-150), True),
-    "blobs x 1e150, dims form": (lambda: blob_rows(200, 16, 1e150), False),
-    "blobs x 1e150, rows form": (lambda: blob_rows(30, 64, 1e150), False),
+    "blobs, dims form": (lambda: blob_rows(200, 16), True, False),
+    "blobs x 0.45, rows form": (lambda: blob_rows(30, 64, 0.45), True, False),
+    "blobs x 1.05, dims form": (lambda: blob_rows(200, 16, 1.05), False, False),
+    "blobs x 1.1, dims form": (lambda: blob_rows(200, 16, 1.1), False, False),
+    "blobs x 3, dims form": (lambda: blob_rows(200, 16, 3.0), False, True),
+    "relu, rows form": (lambda: relu_rows(10, 512), False, True),
+    "relu, dims form": (lambda: relu_rows(60, 32), False, False),
+    "constant column": (constant_column, False, False),
+    "1 row": (lambda: blob_rows(1, 8), True, False),
+    "2 rows": (lambda: blob_rows(2, 8), False, True),
+    "3 rows": (lambda: blob_rows(3, 8), False, True),
+    "1 row, λmax 7.5": (lambda: (np.array([[np.sqrt(6.5), 0.0]]), np.ones(1)), True, False),
+    "1 row, λmax 7.51": (lambda: (np.array([[np.sqrt(6.51), 0.0]]), np.ones(1)), False, True),
+    "blobs x 1e-150, dims form": (lambda: blob_rows(200, 16, 1e-150), True, False),
+    "blobs x 1e-150, rows form": (lambda: blob_rows(30, 64, 1e-150), True, False),
+    "blobs x 1e150, dims form": (lambda: blob_rows(200, 16, 1e150), False, True),
+    "blobs x 1e150, rows form": (lambda: blob_rows(30, 64, 1e150), False, True),
 }
 
 
@@ -391,6 +395,12 @@ def per_reg_select_reg_param(features, labels, grid, folds=3, seed=0):
     return best_reg
 
 
+def zero_models(problems, regs):
+    """A zero (weights, biases) pair of each problem, as `_descend` returns."""
+    return [(np.zeros((len(regs), targets.shape[1], z.shape[1])),
+             np.zeros((len(regs), targets.shape[1]))) for z, targets, _ in problems]
+
+
 def cv_size(labels, grid=DEFAULT_REG_GRID):
     """The size `select_reg_param` compares with THREADED_CV_SIZE."""
     return len(grid) * (int(labels.max()) + 1) * len(labels)
@@ -408,11 +418,17 @@ def assert_close(got, want, rtol):
     assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
+def descend_one(z, targets, sample_w, regs):
+    """`_descend` of one problem: its (weights, biases)."""
+    [model] = _descend([(z, targets, sample_w)], regs)
+    return model
+
+
 def assert_lone_fits_equal_joint(z, targets, sample_w, regs, weights, biases):
     """Each jointly trained candidate is the lone `_descend` of its reg, bit
     for bit."""
     for g, reg in enumerate(regs):
-        lone_w, lone_b = _descend(z, targets, sample_w, (reg,))
+        lone_w, lone_b = descend_one(z, targets, sample_w, (reg,))
         assert weights[g].tobytes() == lone_w[0].tobytes()
         assert biases[g].tobytes() == lone_b[0].tobytes()
 
@@ -427,7 +443,7 @@ class TestGridDescent:
         features, labels = skewed_blobs(20, per_class, 64, 0)
         assert (len(labels) <= 400) == (per_class == 24)
         z, targets, sample_w = descent_problem(features, labels)
-        weights, biases = _descend(z, targets, sample_w, DEFAULT_REG_GRID)
+        weights, biases = descend_one(z, targets, sample_w, DEFAULT_REG_GRID)
         assert weights.shape == (len(DEFAULT_REG_GRID), 20, 64)
         assert_lone_fits_equal_joint(z, targets, sample_w, DEFAULT_REG_GRID, weights, biases)
         for g, reg in enumerate(DEFAULT_REG_GRID):
@@ -446,7 +462,7 @@ class TestGridDescent:
         labels = np.arange(n) % n_classes
         cw = class_weights(np.bincount(labels, minlength=n_classes))
         z, targets, sample_w = descent_problem(features, labels, cw)
-        weights, biases = _descend(z, targets, sample_w, regs)
+        weights, biases = descend_one(z, targets, sample_w, regs)
         assert weights.shape == (len(regs), n_classes, 7)
         assert_lone_fits_equal_joint(z, targets, sample_w, regs, weights, biases)
         rtol = 1e-9 if n < 7 else 1e-12  # the same steps in the rows' span, rounded differently
@@ -460,7 +476,7 @@ class TestGridDescent:
         cw = class_weights(np.bincount(labels))
         z, targets, sample_w = descent_problem(features, labels, cw)
         model = train(features, labels, cw, 0.1)
-        weights, biases = _descend(z, targets, sample_w, DEFAULT_REG_GRID)
+        weights, biases = descend_one(z, targets, sample_w, DEFAULT_REG_GRID)
         g = DEFAULT_REG_GRID.index(0.1)
         assert model.weights.tobytes() == weights[g].tobytes()
         assert model.biases.tobytes() == biases[g].tobytes()
@@ -475,7 +491,7 @@ class TestGridDescent:
         d = relu_dataset(10, 100, 512, 8, 1.0, 0)
         features, labels = d.features, d.labels
         z, targets, sample_w = descent_problem(features, labels)
-        weights, biases = _descend(z, targets, sample_w, DEFAULT_REG_GRID)
+        weights, biases = descend_one(z, targets, sample_w, DEFAULT_REG_GRID)
         assert np.all(np.isfinite(weights)) and np.all(np.isfinite(biases))
         assert_lone_fits_equal_joint(z, targets, sample_w, DEFAULT_REG_GRID, weights, biases)
         for g, reg in enumerate(DEFAULT_REG_GRID):
@@ -492,7 +508,7 @@ class TestGridDescent:
         features, labels = features[rows], labels[rows]
         cw = class_weights(np.bincount(labels, minlength=10))
         z, targets, sample_w = descent_problem(features, labels, cw)
-        weights, biases = _descend(z, targets, sample_w, DEFAULT_REG_GRID)
+        weights, biases = descend_one(z, targets, sample_w, DEFAULT_REG_GRID)
         for g, reg in enumerate(DEFAULT_REG_GRID):
             model = train(features, labels, cw, reg)
             assert model.weights.tobytes() == weights[g].tobytes()
@@ -509,7 +525,7 @@ class TestGridDescent:
             d = make_synthetic(n_classes, per_class, 512, 1.6, 1)
             features, labels = d.features, d.labels
         z, targets, sample_w = descent_problem(features, labels)
-        weights, biases = _descend(z, targets, sample_w, DEFAULT_REG_GRID)
+        weights, biases = descend_one(z, targets, sample_w, DEFAULT_REG_GRID)
         for g, reg in enumerate(DEFAULT_REG_GRID):
             # the reference steps in the weights, as the primal kernel does
             ref_w, ref_b = reference_descent(z, targets, sample_w, reg)
@@ -588,11 +604,16 @@ class TestGridDescent:
         # bit for bit the step `eigvalsh` gives, where the power bound
         # certifies the fixed step and where it cannot, with no floating-point
         # flag raised at extreme scales
-        make, certified = STEP_RULE_CASES[case]
+        make, certified, floor_skips = STEP_RULE_CASES[case]
+        assert not (certified and floor_skips)
         z, sample_w = make()
         grid = np.array(DEFAULT_REG_GRID)
         fixed = 0.1 / (1.0 + grid)
         gram = kernel_gram(z)
+        bounds = []
+        power_bound = classifier._power_bound
+        monkeypatch.setattr(classifier, "_power_bound",
+                            lambda *args: bounds.append(args) or power_bound(*args))
         with np.errstate(all="raise"):
             lam = np.linalg.eigvalsh(_curvature_form(z, sample_w, gram))[-1]
             calls = count_eigvalsh(monkeypatch)
@@ -600,6 +621,7 @@ class TestGridDescent:
             want = np.minimum(fixed, 1.5 / (2.0 * lam + 2.0 * grid))
         assert got.tobytes() == want.tobytes()
         assert len(calls) == (0 if certified else 1)
+        assert len(bounds) == (0 if floor_skips else 1)
         assert np.array_equal(got, fixed) == (certified or case.startswith("blobs x 1.05"))
 
     @pytest.mark.parametrize("folds", [2, 3])
@@ -625,9 +647,10 @@ class TestGridDescent:
         # threaded folds run in copies of the caller's context, where np.errstate lives
         descend = classifier._descend
 
-        def dividing_descend(*args):
-            np.ones(1) / np.zeros(1)  # a division by zero in every fold
-            return descend(*args)
+        def dividing_descend(problems, regs):
+            for _ in problems:
+                np.ones(1) / np.zeros(1)  # a division by zero in every fold
+            return descend(problems, regs)
 
         monkeypatch.setattr(classifier, "_descend", dividing_descend)
         d = relu_dataset(10, per_class, 512, 8, 1.0, 0)
@@ -648,43 +671,44 @@ class TestGridDescent:
         barrier = threading.Barrier(3, timeout=20)
         threads = set()
 
-        def descend(z, targets, sample_w, regs):
+        def descend(problems, regs):
             threads.add(threading.get_ident())
             barrier.wait()  # passes only once all three folds are in flight
-            shape = (len(regs), targets.shape[1])
-            return np.zeros(shape + (z.shape[1],)), np.zeros(shape)
+            return zero_models(problems, regs)
 
         monkeypatch.setattr(classifier, "_descend", descend)
         select_reg_param(features, labels)
         assert len(threads) == 3
 
-    def test_small_folds_train_in_turn_on_the_calling_thread(self, monkeypatch):
+    def test_small_fit_trains_every_fold_in_one_descend_call_on_the_calling_thread(
+            self, monkeypatch):
         d = relu_dataset(10, 12, 512, 8, 1.0, 0)
         features, labels = d.features, d.labels
         assert cv_size(labels) < classifier.THREADED_CV_SIZE
         assignment = _stratified_folds(labels, 3, 0)
         calls = []
 
-        def descend(z, targets, sample_w, regs):
-            calls.append((threading.get_ident(), z))
-            shape = (len(regs), targets.shape[1])
-            return np.zeros(shape + (z.shape[1],)), np.zeros(shape)
+        def descend(problems, regs):
+            calls.append((threading.get_ident(), problems))
+            return zero_models(problems, regs)
 
         monkeypatch.setattr(classifier, "_descend", descend)
         select_reg_param(features, labels)
-        assert [ident for ident, _ in calls] == [threading.get_ident()] * 3
-        for f, (_, z) in enumerate(calls):
+        assert [ident for ident, _ in calls] == [threading.get_ident()]
+        [(_, problems)] = calls
+        assert len(problems) == 3
+        for f, (z, _, _) in enumerate(problems):
             assert np.array_equal(z, features[assignment != f])
 
-        def failing_descend(z, targets, sample_w, regs):
-            calls.append(z)
+        def failing_descend(problems, regs):
+            calls.append(problems)
             raise ClassifierError("fold failed")
 
         calls.clear()
         monkeypatch.setattr(classifier, "_descend", failing_descend)
         with pytest.raises(ClassifierError, match="fold failed"):
             select_reg_param(features, labels)
-        assert len(calls) == 1  # fold 1 never started
+        assert len(calls) == 1  # the one call that trains every fold
 
     def test_non_finite_features_rejected(self):
         d = make_synthetic(3, 10, 4, 0.5, 0)
@@ -702,6 +726,73 @@ class TestGridDescent:
             select_reg_param(d.features, d.labels, [0.0, 1.0])
         assert type(cv.value) is type(serial.value)
         assert cv.value.args == serial.value.args
+
+
+# Uneven folds' descent problems: all in the rows' span (512 dims), all on
+# the weights (16 dims), and straddling 64 dims, as CV folds of 58, 68 and 72
+# rows do. In each group the shortest problem is padded by at least 2 rows.
+STACKED_FOLD_CASES = {"rows": (512, (40, 37, 33)),
+                      "weights": (16, (120, 117, 100)),
+                      "mixed": (64, (68, 58, 72))}
+
+
+def stacked_fold_problems(case):
+    dim, sizes = STACKED_FOLD_CASES[case]
+    d = relu_dataset(10, 12, dim, 8, 1.0, 5)
+    rng = np.random.default_rng(dim)
+    problems = []
+    for n in sizes:
+        rows = np.sort(rng.choice(len(d.labels), n, replace=False))
+        cw = class_weights(np.bincount(d.labels[rows], minlength=10))
+        problems.append(descent_problem(d.features[rows], d.labels[rows], cw))
+    return problems
+
+
+def assert_stacked_equal_lone(case):
+    """Each problem's model in one stacked `_descend` is its one-problem
+    descent, bit for bit; the stacked descent raises no floating-point flag."""
+    problems = stacked_fold_problems(case)
+    with np.errstate(all="raise"):
+        models = _descend(problems, DEFAULT_REG_GRID)
+    assert len(models) == len(problems)
+    for problem, (weights, biases) in zip(problems, models):
+        lone_w, lone_b = descend_one(*problem, DEFAULT_REG_GRID)
+        assert weights.shape == lone_w.shape and biases.shape == lone_b.shape
+        assert weights.tobytes() == lone_w.tobytes()
+        assert biases.tobytes() == lone_b.tobytes()
+
+
+STACKED_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_classifier import STACKED_FOLD_CASES, assert_stacked_equal_lone
+for case in STACKED_FOLD_CASES:
+    assert_stacked_equal_lone(case)
+print("stacked folds equal lone descents")
+"""
+
+
+class TestStackedFolds:
+    """CV's folds descend in one `_descend` call, each bit-identical to its
+    lone descent: padding never enters a product's inner dimension or a sum,
+    and each GEMM differs from the lone one only in its leading dimensions."""
+
+    @pytest.mark.parametrize("case", sorted(STACKED_FOLD_CASES))
+    def test_each_fold_equals_its_lone_descent(self, case):
+        dim, sizes = STACKED_FOLD_CASES[case]
+        groups = [[n for n in sizes if (n < dim) == row_space] for row_space in (True, False)]
+        assert all(max(g) - min(g) >= 2 for g in groups if len(g) > 1)
+        assert (min(sizes) < dim <= max(sizes)) == (case == "mixed")
+        assert_stacked_equal_lone(case)
+
+    def test_folds_equal_lone_descents_at_1_and_2_blas_threads(self):
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", STACKED_SCRIPT,
+                                   str(pathlib.Path(__file__).parent)],
+                                  check=True, env=env, timeout=300, capture_output=True, text=True)
+            assert done.stdout.strip() == "stacked folds equal lone descents"
 
 
 def model_with_decisions(dv_rows):
