@@ -106,7 +106,9 @@ def coreset_select(features, labeled, batch: int) -> np.ndarray:
     Repeatedly picks the row of `features` farthest from its nearest covered
     row (one of the `labeled` row positions, or an earlier pick), and returns
     the picks as row positions; ties go to the lowest position. Labeled rows
-    start at -inf, so none is ever picked.
+    start at -inf, so none is ever picked. Features that are not finite
+    (checked on the squared norms, which a NaN or inf row makes non-finite)
+    raise AcquisitionError: a NaN distance would steer the picks.
 
     Distances are read from `features` in place (`_nearest`). The labeled
     rows are measured against the whole space in blocks of 2048 centres
@@ -138,6 +140,8 @@ def coreset_select(features, labeled, batch: int) -> np.ndarray:
     u_sq = np.empty(n)
     for start in range(0, n, _BLOCK):
         (features[start:start + _BLOCK] ** 2).sum(axis=1, out=u_sq[start:start + _BLOCK])
+    if not np.all(np.isfinite(u_sq)):
+        raise AcquisitionError("coreset needs finite features")
     for start in range(0, len(labeled), _BLOCK):
         np.minimum(min_dist, _nearest(features, u_sq, slice(None), labeled[start:start + _BLOCK]),
                    out=min_dist)

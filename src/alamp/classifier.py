@@ -23,8 +23,11 @@ stacked on a leading axis of the parameters, and several problems (CV's
 folds) at once, on the axis before it. Its margins are one class-major
 (P, G, C, n) buffer: one matrix product per problem and candidate fills it,
 of the shape a lone fit has, and the step size, the sample weights and the
-L2 decay are folded into the elementwise hinge pass. Every model it yields
-is therefore bit-identical to training that candidate on its own; `train`
+L2 decay are folded into the elementwise hinge pass. The bias is a column of
+the parameters over a constant feature, a column of ones left out of the
+decay (so the bias stays unregularized): the products add it to the margins
+and yield its gradient, and no step spends a pass on the bias alone. Every
+model it yields is bit-identical to training that candidate on its own; `train`
 is the kernel with one problem and a grid of one. `gradients`/`objective`
 remain the reference formula, which the kernel matches within rounding, its
 operations being ordered differently. With fewer rows than dims, descent
@@ -64,7 +67,9 @@ rows.
 At desk scale (64 dims, 20 classes) no product that runs in CV or just
 before it is large enough for OpenBLAS to split it over threads: not the
 step rule's bound, nor the (d+1) x (d+1) form and the scoring products, which
-run in row blocks (`_row_blocks`), nor the descent's per-candidate GEMMs. A
+run in row blocks (`_row_blocks`), nor the descent's per-candidate GEMMs,
+the largest of which, a 200-row fold's with its bias column, takes
+20 x 200 x 65 = 260,000 multiply-adds. A
 split product leaves OpenBLAS's worker thread spinning for a while
 afterwards, on a core the fold threads need. A product that runs in serial
 blocks also gives the same bits at any thread count.
@@ -272,20 +277,26 @@ def _descend(problems, regs):
     reg in `regs` at once.
 
     Each problem is (z, targets, sample_w), with the same dims and classes,
-    and yields one (weights (G, C, d), biases (G, C)) pair, in order. A
-    problem with fewer rows than dims descends in the rows' span, the others
-    on the weights (below); each group is stacked on a leading axis of
-    buffers padded to its longest problem, and candidates sit on the next
-    axis: biases (P, G, C), margins class-major in one (P, G, C, n) buffer,
-    so the bias add, the elementwise passes and the bias sums over n run
-    along contiguous rows.
+    and yields one (weights (G, C, d), biases (G, C)) pair of fresh arrays,
+    in order. A problem with fewer rows than dims descends in the rows'
+    span, the others on the weights (below); each group is stacked on a
+    leading axis of buffers padded to its longest problem, and candidates sit
+    on the next axis: margins class-major in one (P, G, C, n) buffer, so the
+    elementwise passes run along contiguous rows.
+
+    The bias is the parameters' last column, over a constant feature (as in
+    LIBLINEAR): the products see a column of ones, so the margins' product
+    adds the bias inside its sum, and the bias gradient falls out where the
+    weights' gradient does. The decay is 1 at that column, so the bias stays
+    unregularized. No step adds, sums or updates the bias on its own.
 
     Each candidate takes the step lr that `_step_sizes` gives it on its
     problem. A step folds everything but the matrix products into the hinge:
     with coef = -2 lr w y / n and decay = 1 - 2 lr reg, the margins M become
     coef * max(0, 1 - y M), which is lr times the gradient w.r.t. the
     margins, and the update is params *= decay, then params -= that gradient
-    carried to the params, and biases -= its sum over n. This is the step
+    carried to the params. The targets, coef and decay are tiled to their
+    buffers' full shapes once, so no step broadcasts. This is the step
     `gradients` spells out, with its operations ordered differently, so it
     agrees with that formula within rounding, not bit for bit.
 
@@ -295,17 +306,21 @@ def _descend(problems, regs):
     check it under several). Padding never enters a product's inner
     dimension or a sum. Each elementwise pass runs once over a whole buffer
     and treats every entry alone; padded entries have targets and coef 0, so
-    they stay 0. The bias sums run per problem on unpadded views, since
-    numpy's pairwise sum depends on n. So every problem's and candidate's
-    model is bit-identical to descending on it alone.
+    they stay 0. The rows' span's bias sums run per problem on unpadded
+    views, since numpy's pairwise sum depends on n. So every problem's and
+    candidate's model is bit-identical to descending on it alone.
 
     With at least as many rows as dims, the descent runs on the weights
-    W (G, C, d): the margins are W Zᵀ, Zᵀ copied contiguous once, and the
-    gradient is M Z. With fewer rows than dims, it runs in the rows' span
+    W' = [W | b] (G, C, d+1): the margins are W' Z'ᵀ, Z' = [Z | 1], Z'ᵀ
+    copied contiguous once, and the gradient is M Z', whose last column is
+    the bias gradient. With fewer rows than dims, it runs in the rows' span
     instead: descent from zero keeps W = A Z, so it descends on the
-    coefficients A (G, C, n). The margins are A K + b, K = Z Zᵀ being the
-    Gram matrix, and the gradient w.r.t. A is M itself: no d-wide product
-    and no gradient GEMM. The weights are formed once, at the end. In exact
+    coefficients A' = [A | b] (G, C, n+1). The margins are A' K', where
+    K' = [K ; 1ᵀ] and K = Z Zᵀ is the Gram matrix, and the gradient w.r.t. A
+    is M itself: no d-wide product and no gradient GEMM. The margins buffer
+    has one column more; each problem's sum of M over n, the bias gradient,
+    lands in the column after its rows, so one subtraction of the margins
+    updates A and b. The weights are formed once, at the end. In exact
     arithmetic both forms take the same steps.
     """
     regs = np.asarray(regs, dtype=np.float64)
@@ -324,59 +339,60 @@ def _descend_stack(problems, regs, row_space):
     n_problems, n_regs = len(problems), len(regs)
     n_classes, dim = problems[0][1].shape[1], problems[0][0].shape[1]
     sizes = [len(z) for z, _, _ in problems]
-    shape = (n_problems, n_regs, n_classes, max(sizes))
-    targets_t = np.zeros((n_problems, 1) + shape[2:])
+    # in the rows' span a problem's bias sits in the column after its rows
+    shape = (n_problems, n_regs, n_classes, max(sizes) + row_space)
+    targets_t = np.zeros(shape)
     coef = np.zeros(shape)
-    decay = np.empty((n_problems, n_regs, 1, 1))
-    bases = []
+    params = np.zeros(shape if row_space else shape[:3] + (dim + 1,))  # A' or W'
+    decay = np.ones_like(params)
+    bases, grad_bases = [], []
     for p, (z, targets, sample_w) in enumerate(problems):
         n = len(z)
         gram = z @ z.T if row_space else None
         lr = _step_sizes(z, sample_w, regs, gram)
-        targets_t[p, 0, :, :n] = targets.T
+        targets_t[p, :, :, :n] = targets.T
         coef[p, :, :, :n] = (lr * (-2.0 / n))[:, None, None] * (sample_w * targets.T)
-        decay[p] = (1.0 - 2.0 * lr * regs)[:, None, None]
-        bases.append(gram if row_space else np.ascontiguousarray(z.T))   # (n, n) or (d, n)
+        decay[p, :, :, :n if row_space else dim] = (1.0 - 2.0 * lr * regs)[:, None, None]
+        if row_space:
+            bases.append(np.vstack([gram, np.ones((1, n))]))    # K' (n+1, n)
+        else:
+            z_ones = np.hstack([z, np.ones((n, 1))])            # Z' (n, d+1)
+            bases.append(np.ascontiguousarray(z_ones.T))
+            grad_bases.append(z_ones)
 
     margins = np.zeros(shape)
-    biases = np.zeros(shape[:3])
-    step_b = np.empty_like(biases)
     # each problem's unpadded views and operands, paired once, so that a step
     # adds no Python work beyond its calls (fold threads share one lock)
     cuts = [margins[p, :, :, :n] for p, n in enumerate(sizes)]
     if row_space:
-        params = np.zeros(shape)                                     # A
-        params_cuts = [params[p, :, :, :n] for p, n in enumerate(sizes)]
+        params_cuts = [params[p, :, :, :n + 1] for p, n in enumerate(sizes)]
+        # each problem's bias gradient goes to the column after its rows
+        sums = [(cut, margins[p, :, :, n]) for p, (cut, n) in enumerate(zip(cuts, sizes))]
     else:
-        params = np.zeros(shape[:3] + (dim,))                        # W
         params_cuts = list(params)
         step = np.empty_like(params)
-        grads = [(cut, z, grad) for cut, (z, _, _), grad in zip(cuts, problems, step)]
+        grads = list(zip(cuts, grad_bases, step))
     products = list(zip(params_cuts, bases, cuts))
-    sums = list(zip(cuts, step_b))
-    bias_cols = biases[..., None]
     for _ in range(GD_ITERATIONS):
         for params_p, basis, cut in products:
             np.matmul(params_p, basis, out=cut)
-        margins += bias_cols
         # margins becomes lr times the gradient w.r.t. the margins, in place
         margins *= targets_t
         np.subtract(1.0, margins, out=margins)
         np.maximum(0.0, margins, out=margins)
         margins *= coef
-        for cut, total in sums:
-            np.add.reduce(cut, axis=2, out=total)
         params *= decay
         if row_space:
+            for cut, total in sums:
+                np.add.reduce(cut, axis=2, out=total)
             params -= margins
         else:
-            for cut, z, grad in grads:
-                np.matmul(cut, z, out=grad)
+            for cut, basis, grad in grads:
+                np.matmul(cut, basis, out=grad)
             params -= step
-        biases -= step_b
     if row_space:
-        return [(a @ z, b) for a, (z, _, _), b in zip(params_cuts, problems, biases)]
-    return list(zip(params, biases))
+        return [(a[..., :-1] @ z, a[..., -1].copy()) for a, (z, _, _) in zip(params_cuts, problems)]
+    return [(w[..., :-1].copy(), w[..., -1].copy()) for w in params]
 
 
 def _problem(labels, cw):

@@ -314,6 +314,15 @@ class TestCoresetSelect:
         with pytest.raises(AcquisitionError, match="batch 4 exceeds pool size 3"):
             coreset_select(space, [0, 2, 2], 4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 30])  # a labeled row and an unlabeled one
+    def test_non_finite_features_rejected(self, bad, row):
+        # with one NaN row the picks once included labeled row 0
+        space = np.random.default_rng(0).normal(size=(100, 4))
+        space[row, 2] = bad
+        with pytest.raises(AcquisitionError, match="finite"):
+            coreset_select(space, [0], 5)
+
     @pytest.mark.parametrize("labeled", [[-1], [5], [0, 7]])
     def test_labeled_row_outside_space_rejected(self, labeled):
         with pytest.raises(AcquisitionError, match=r"labeled rows must lie in \[0, 5\)"):

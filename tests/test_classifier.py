@@ -762,6 +762,38 @@ def assert_stacked_equal_lone(case):
         assert biases.tobytes() == lone_b.tobytes()
 
 
+def desk_fold_models():
+    """The bytes of CV's fold models on 300 desk-shaped rows (20 classes,
+    64 dims), after checking that each stacked fold is its lone descent.
+    Its 200-row folds take the largest per-candidate GEMMs of desk CV,
+    20 x 200 x 65 multiply-adds with the bias column, just below the 2^18 at
+    which OpenBLAS would split a product over threads."""
+    d = make_synthetic(20, 15, 64, 1.6, 3)
+    assignment = _stratified_folds(d.labels, 3, 0)
+    problems = []
+    for f in range(3):
+        tr = assignment != f
+        cw = class_weights(np.bincount(d.labels[tr], minlength=20))
+        problems.append(descent_problem(d.features[tr], d.labels[tr], cw))
+    assert [len(z) for z, _, _ in problems] == [200] * 3
+    models = _descend(problems, DEFAULT_REG_GRID)
+    for problem, (weights, biases) in zip(problems, models):
+        lone_w, lone_b = descend_one(*problem, DEFAULT_REG_GRID)
+        assert weights.tobytes() == lone_w.tobytes() and biases.tobytes() == lone_b.tobytes()
+    return b"".join(w.tobytes() + b.tobytes() for w, b in models)
+
+
+def run_at_blas_threads(threads, script, *args):
+    """Standard output of `script`, run with this test directory and `args`
+    as its arguments, at `threads` BLAS threads in a new interpreter."""
+    env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads)
+    done = subprocess.run([sys.executable, "-c", script, str(pathlib.Path(__file__).parent),
+                           *args], check=True, env=env, timeout=300, capture_output=True,
+                          text=True)
+    return done.stdout
+
+
 STACKED_SCRIPT = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -769,6 +801,13 @@ from test_classifier import STACKED_FOLD_CASES, assert_stacked_equal_lone
 for case in STACKED_FOLD_CASES:
     assert_stacked_equal_lone(case)
 print("stacked folds equal lone descents")
+"""
+
+DESK_FOLDS_SCRIPT = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+from test_classifier import desk_fold_models
+print(hashlib.sha256(desk_fold_models()).hexdigest())
 """
 
 
@@ -787,12 +826,13 @@ class TestStackedFolds:
 
     def test_folds_equal_lone_descents_at_1_and_2_blas_threads(self):
         for threads in ("1", "2"):
-            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                       MKL_NUM_THREADS=threads)
-            done = subprocess.run([sys.executable, "-c", STACKED_SCRIPT,
-                                   str(pathlib.Path(__file__).parent)],
-                                  check=True, env=env, timeout=300, capture_output=True, text=True)
-            assert done.stdout.strip() == "stacked folds equal lone descents"
+            stdout = run_at_blas_threads(threads, STACKED_SCRIPT)
+            assert stdout.strip() == "stacked folds equal lone descents"
+
+    def test_desk_folds_equal_at_1_and_2_blas_threads(self):
+        digests = [run_at_blas_threads(threads, DESK_FOLDS_SCRIPT) for threads in ("1", "2")]
+        assert len(digests[0].strip()) == 64
+        assert digests[0] == digests[1]
 
 
 def model_with_decisions(dv_rows):
@@ -851,11 +891,8 @@ class TestDecisionValues:
         # splits it over threads; its row blocks are not
         outputs = {}
         for threads in ("1", "2"):
-            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                       MKL_NUM_THREADS=threads)
             out = tmp_path / f"threads_{threads}.bin"
-            subprocess.run([sys.executable, "-c", SCORE_SCRIPT, str(pathlib.Path(__file__).parent),
-                            str(out)], check=True, env=env, timeout=300)
+            run_at_blas_threads(threads, SCORE_SCRIPT, str(out))
             outputs[threads] = out.read_bytes()
         assert len(outputs["1"]) == 4000 * 20 * 8
         assert outputs["1"] == outputs["2"]
