@@ -14,9 +14,7 @@ So no step diverges, on ReLU embeddings too, and where the fixed step
 is n x n, built from the Gram matrix, when the descent runs in the rows' span
 (below), else (d+1) x (d+1). Two products of the form with itself bound λmax
 from above; where that bound keeps the fixed step, no `eigvalsh` runs, and
-elsewhere one per descent gives λmax. Where the form's trace alone shows
-that the bound cannot keep the fixed step, as on ReLU rows in 512 dims, the
-two products are skipped.
+elsewhere one per descent gives λmax.
 
 One descent kernel trains a whole regularization grid jointly, the candidates
 stacked on a leading axis of the parameters, and several problems (CV's
@@ -43,21 +41,20 @@ candidate, and `train` raises `ClassifierError` for one.
 regularization, then the rows are trained; the final fit and every CV fold
 weight their classes by one rule, `_weights` (cost-sensitive, or unit weights).
 
-Cross-validation trains a small problem's folds in one stacked descent on
-the calling thread (`_descend` takes a list of problems), and a larger
-one's concurrently, one thread per fold. The folds are independent, and
-numpy releases the interpreter lock inside their products and array loops;
-but in a small fit each numpy call takes a few µs, so fold threads mostly
-hand the lock back and forth, and one descent, whose elementwise passes
-each run once over every fold, does far fewer calls. The size is
-candidates x classes x CV rows, and threads start at THREADED_CV_SIZE. On a
-2-vCPU machine, at 1 and 2 BLAS threads, fold threads overtook a loop over
-the folds between 9k and 20k. Threads start below that range, at 8k: near
-the crossover the calling thread gains little, and a run whose fits grow
-across it may lose more than that in its later threaded fits. Either way
-each fold's model is the bits of its lone descent and fold accuracies are
-reduced in fold order, so the chosen regularization is the one a serial
-loop picks.
+Cross-validation builds its folds' descent problems once. A small fit's
+folds then train in one stacked descent on the calling thread (`_descend`
+takes a list of problems), a larger one's concurrently, one `_descend` per
+fold in its own thread. The folds are independent, and numpy releases the
+interpreter lock inside their products and array loops; but in a small fit
+each numpy call takes a few µs, so fold threads mostly hand the lock back
+and forth, and one descent, whose elementwise passes each run once over
+every fold, does far fewer calls. The size is candidates x classes x CV
+rows, and threads start at THREADED_CV_SIZE. On a 2-vCPU machine, at 1 and
+2 BLAS threads, a sweep of both paths put the crossover near 12k on blobs
+in 64 dims and near 10k on ReLU rows in 512 dims; the threshold sits a
+little below both. Either way each fold's model is the bits of its lone
+descent, and every fold is scored on the calling thread, in fold order, so
+the chosen regularization is the one a serial loop picks.
 
 Models fit and score the features they are given, with no scaler of their
 own: a run's features are standardized once, by `dataset.standardize`.
@@ -249,25 +246,13 @@ def _step_sizes(z, sample_w, regs, gram=None) -> np.ndarray:
     and in `eigvalsh`, already keeps the fixed step for every candidate, the
     fixed step is returned: the exact rule would return the same bits, its
     λmax being no larger. Otherwise λmax is taken with one `eigvalsh`.
-
-    The bound is never below tr F · m^(-7/8) for an m x m form: its m
-    eigenvalues sum to tr F, and a sum of eighth powers with a fixed sum is
-    least when they are equal. So when even that floor rules out the fixed
-    step for some candidate, `eigvalsh` runs without the bound's products.
-    The bound's computed value lies within far less than 1e-6 of the exact
-    one, and the floor within a few ulps of its own, so the raised bound
-    never falls below the floor: whenever the floor rules the fixed step
-    out, the bound would have too, and the steps are the same bits.
     """
     regs = np.asarray(regs, dtype=np.float64)
     fixed = 0.1 / (1.0 + regs)
     form = _curvature_form(z, sample_w, gram)
-    trace = np.trace(form)
-    floor = trace * len(form) ** -0.875
-    if np.all(fixed <= 1.5 / (2.0 * floor + 2.0 * regs)):
-        bound = _power_bound(form, trace)
-        if np.all(fixed <= 1.5 / (2.0 * (bound * (1.0 + 1e-6)) + 2.0 * regs)):
-            return fixed
+    bound = _power_bound(form, np.trace(form))
+    if np.all(fixed <= 1.5 / (2.0 * (bound * (1.0 + 1e-6)) + 2.0 * regs)):
+        return fixed
     lam = float(np.linalg.eigvalsh(form)[-1])
     return np.minimum(fixed, 1.5 / (2.0 * lam + 2.0 * regs))
 
@@ -449,11 +434,12 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
     every candidate's model is bit-identical to a separate `train` call.
     Below THREADED_CV_SIZE (candidates x classes x CV rows) every fold
     trains in one `_descend` call on the calling thread, which raises the
-    first error it meets. From that size on they train
-    concurrently, one thread each, in copies of the caller's context (so
-    `np.errstate` and `np.seterrcall` apply inside them), and a failure
-    raises the error of the lowest failing fold once every fold has ended.
-    Either way the accuracies are reduced in fold order. A candidate whose
+    first error it meets. From that size on they train concurrently, one
+    `_descend` call per fold in its own thread, in copies of the caller's
+    context (so `np.errstate` and `np.seterrcall` apply inside them), and a
+    failure raises the error of the lowest failing fold once every fold has
+    ended. Either way every fold is scored on the calling thread, in fold
+    order, and the accuracies are reduced in that order. A candidate whose
     model is not finite in some fold cannot be selected, and if none is
     left, ClassifierError is raised. Ties go to the smallest candidate.
     Folds are reduced to the smallest class count when a class is too small.
@@ -475,30 +461,26 @@ def select_reg_param(features, labels, candidate_grid=DEFAULT_REG_GRID,
     folds = min(folds, min_count)
     assignment = _stratified_folds(labels, folds, seed)
 
-    def fold_problem(f):
+    problems = []
+    for f in range(folds):
         tr = assignment != f
         cw = _weights(np.bincount(labels[tr], minlength=n_classes), cost_sensitive)
-        return (features[tr], *_problem(labels[tr], cw))
+        problems.append((features[tr], *_problem(labels[tr], cw)))
+    if len(grid) * n_classes * len(labels) < THREADED_CV_SIZE:
+        models = _descend(problems, grid)
+    else:
+        with ThreadPoolExecutor(max_workers=folds) as executor:
+            futures = [executor.submit(contextvars.copy_context().run, _descend, [problem], grid)
+                       for problem in problems]
+        # result() re-raises a fold's error: read in fold order, the lowest wins
+        models = [future.result()[0] for future in futures]
 
-    def accuracies(f, weights, biases):
+    fold_accs = []
+    for f, (weights, biases) in enumerate(models):
         va = assignment == f
         finite = np.isfinite(weights).all(axis=(1, 2)) & np.isfinite(biases).all(axis=1)
         preds = np.argmax(features[va] @ weights.transpose(0, 2, 1) + biases[:, None, :], axis=2)
-        return np.where(finite, np.mean(preds == labels[va], axis=1), np.nan)
-
-    def fold_accuracies(f):
-        [model] = _descend([fold_problem(f)], grid)
-        return accuracies(f, *model)
-
-    if len(grid) * n_classes * len(labels) < THREADED_CV_SIZE:
-        models = _descend([fold_problem(f) for f in range(folds)], grid)
-        fold_accs = [accuracies(f, *model) for f, model in enumerate(models)]
-    else:
-        with ThreadPoolExecutor(max_workers=folds) as executor:
-            futures = [executor.submit(contextvars.copy_context().run, fold_accuracies, f)
-                       for f in range(folds)]
-        # result() re-raises a fold's error: read in fold order, the lowest wins
-        fold_accs = [future.result() for future in futures]
+        fold_accs.append(np.where(finite, np.mean(preds == labels[va], axis=1), np.nan))
     fold_accs = np.stack(fold_accs, axis=1)
     # a candidate that is not finite in some fold has a NaN mean: never selected
     mean_accs = np.nan_to_num(fold_accs.mean(axis=1), nan=-1.0)

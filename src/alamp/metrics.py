@@ -54,9 +54,21 @@ class IterationRecord:
 
 REPORT_FORMATS = ("csv", "json")
 
-# The report json key of each IterationRecord field, in file order.
-_RECORD_KEYS = (("k", "iteration"), ("labeled", "labeled_count"), ("acc", "accuracy"),
-                ("ir", "ir"), ("class_counts", "class_counts"), ("selected", "selected_ids"))
+# The report json key of each IterationRecord field, in file order, and the
+# JSON type it holds.
+_RECORD_KEYS = (("k", "iteration", "integer"), ("labeled", "labeled_count", "integer"),
+                ("acc", "accuracy", "number"), ("ir", "ir", "number"),
+                ("class_counts", "class_counts", "array"),
+                ("selected", "selected_ids", "array"))
+# The keys of the report json's other objects, and the JSON type each holds.
+_REPORT_KEYS = {"meta": "object", "records": "array"}
+_META_KEYS = {"af": "string", "seed": "integer", "plan": "object", "dataset": "string",
+              "cost_sensitive": "boolean"}
+_PLAN_KEYS = {"b": "integer", "t": "integer"}
+# The Python types json.load gives each JSON type: exact, so true/false is
+# neither an integer nor a number.
+_JSON_TYPES = {"string": (str,), "integer": (int,), "number": (int, float),
+               "boolean": (bool,), "object": (dict,), "array": (list,)}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,7 +133,7 @@ def _report_payload(report: Report) -> dict:
             "dataset": report.meta.dataset,
             "cost_sensitive": report.meta.cost_sensitive,
         },
-        "records": [{key: getattr(r, field) for key, field in _RECORD_KEYS}
+        "records": [{key: getattr(r, field) for key, field, _ in _RECORD_KEYS}
                     for r in report.records],
     }
 
@@ -133,22 +145,45 @@ def write_report(report: Report, path, format: str = "json") -> None:
             for r in report.records))
 
 
+def _checked(value, keys: dict, where: str) -> dict:
+    """`value`, which must be a JSON object with exactly the keys of `keys`,
+    each holding the JSON type `keys` names; raises ValueError otherwise."""
+    if type(value) is not dict:
+        raise ValueError(f"{where} must be a JSON object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {where}")
+    for key, kind in keys.items():
+        if key not in value:
+            raise ValueError(f"missing key {key!r} in {where}")
+        if type(value[key]) not in _JSON_TYPES[kind]:
+            raise ValueError(f"{where} key {key!r} must be a JSON {kind}, got {value[key]!r}")
+    return value
+
+
 def read_report(path) -> Report:
     """Inverse of write_report(format='json'); raises ValueError on a NaN or
-    Infinity token, a record whose `labeled` or `ir` disagrees with its
+    Infinity token, a missing or unknown key, a value of another JSON type
+    than write_report writes (true/false is not a number), an `acc` outside
+    [0, 1], a record whose `labeled` or `ir` disagrees with its
     `class_counts`, or iteration numbers `k` other than 0..len-1, each once."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh, parse_constant=_reject_constant)
-    meta = RunMeta(
-        af=payload["meta"]["af"],
-        seed=payload["meta"]["seed"],
-        total_budget=payload["meta"]["plan"]["b"],
-        iterations=payload["meta"]["plan"]["t"],
-        dataset=payload["meta"]["dataset"],
-        cost_sensitive=payload["meta"]["cost_sensitive"],
-    )
+    payload = _checked(payload, _REPORT_KEYS, "report")
+    meta = _checked(payload["meta"], _META_KEYS, "meta")
+    plan = _checked(meta["plan"], _PLAN_KEYS, "meta plan")
+    meta = RunMeta(af=meta["af"], seed=meta["seed"], total_budget=plan["b"],
+                   iterations=plan["t"], dataset=meta["dataset"],
+                   cost_sensitive=meta["cost_sensitive"])
+    record_keys = {key: kind for key, _, kind in _RECORD_KEYS}
     records = []
-    for r in payload["records"]:
+    for i, r in enumerate(payload["records"]):
+        r = _checked(r, record_keys, f"record {i}")
+        if not 0 <= r["acc"] <= 1:
+            raise ValueError(f"record k={r['k']}: acc {r['acc']} is outside [0, 1]")
+        for key in ("class_counts", "selected"):
+            if not all(type(v) is int for v in r[key]):
+                raise ValueError(f"record k={r['k']}: {key} must hold integers, got {r[key]}")
         record = IterationRecord(iteration=r["k"], accuracy=r["acc"],
                                  class_counts=tuple(r["class_counts"]),
                                  selected_ids=tuple(r["selected"]))

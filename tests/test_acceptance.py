@@ -7,16 +7,13 @@ runtime (a few minutes); everything else is fast.
 
 import json
 import os
-import pathlib
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
 
-from alamp import acquisition, classifier, engine, metrics
-from alamp.acquisition import alamp_scores, coreset_select, margin_scores
+from alamp import classifier, engine, metrics
+from alamp.acquisition import alamp_scores, margin_scores
 from alamp.classifier import gradients, objective, predict, predict_proba
 from alamp.dataset import (
     imbalance_ratio,
@@ -27,6 +24,8 @@ from alamp.dataset import (
 )
 from alamp.engine import BudgetPlan, init_pool, run_experiment, step
 from alamp.metrics import average_accuracy, write_report
+from test_acquisition import coreset_rows, diversify
+from test_classifier import run_at_blas_threads
 from test_engine import relu_dataset
 
 PASS_LINE = "ACCEPTANCE {num} ({name}): PASS"
@@ -34,22 +33,6 @@ PASS_LINE = "ACCEPTANCE {num} ({name}): PASS"
 
 def report_pass(num, name):
     print(PASS_LINE.format(num=num, name=name))
-
-
-def diversify(ordered, pseudo, batch):
-    """`acquisition.diversify` on a ranking of ids and a {sample id: pseudo
-    class} fixture, its picks mapped back to ids."""
-    ranks = acquisition.diversify([pseudo[i] for i in ordered], batch)
-    return np.asarray(ordered, dtype=np.int64)[ranks]
-
-
-def coreset_rows(features, labeled, unlabeled, batch):
-    """`coreset_select` over rows of one feature matrix: `labeled` and
-    `unlabeled` are rows of `features`, and so are the picks. The space is
-    their rows in ascending order, so ties go to the lowest row."""
-    features = np.asarray(features, dtype=np.float64)
-    rows = np.union1d(labeled, unlabeled).astype(np.int64)
-    return rows[coreset_select(features[rows], np.searchsorted(rows, labeled), batch)]
 
 
 def test_criterion_1_formula_fidelity():
@@ -203,6 +186,8 @@ def test_criterion_4_protocol_invariants_relu():
     report_pass(4, "protocol invariants, ReLU features")
 
 
+# Each script runs with the tests directory, which holds the generator, as
+# argv[1], and writes its report to argv[2].
 DETERMINISM_SCRIPT = """
 import sys
 import alamp
@@ -211,35 +196,28 @@ from alamp.metrics import write_report
 full = alamp.make_synthetic(10, 60, 16, 0.8, 0)
 train, test = alamp.train_test_split(full, 0.2, 1)
 rep = run_experiment(train, test, "alamp-div", BudgetPlan(120, 3), 5)
-write_report(rep, sys.argv[1])
+write_report(rep, sys.argv[2])
 """
 
-# The ReLU golden's configuration (tests/test_golden.py); argv[2] is the
-# tests directory, which holds the generator.
+# The ReLU golden's configuration (tests/test_golden.py).
 RELU_DETERMINISM_SCRIPT = """
 import sys
-sys.path.insert(0, sys.argv[2])
+sys.path.insert(0, sys.argv[1])
 import alamp
 from alamp.engine import BudgetPlan, run_experiment
 from alamp.metrics import write_report
 from test_engine import relu_dataset
 train, test = alamp.train_test_split(relu_dataset(10, 40, 128, 8, 1.0, 0), 0.2, 1)
 rep = run_experiment(train, test, "alamp-div", BudgetPlan(90, 3), 5)
-write_report(rep, sys.argv[1])
+write_report(rep, sys.argv[2])
 """
 
 
-def check_determinism(tmp_path, source, *args):
-    script = tmp_path / "det_run.py"
-    script.write_text(source)
+def check_determinism(tmp_path, script):
     outputs = []
     for tag, threads in (("a", "1"), ("b", "1"), ("c", "4")):
         out = tmp_path / f"report_{tag}.json"
-        env = dict(os.environ,
-                   OMP_NUM_THREADS=threads,
-                   OPENBLAS_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads)
-        subprocess.run([sys.executable, str(script), str(out), *args], check=True, env=env)
+        run_at_blas_threads(threads, script, str(out))
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1], "repeat with same seed differs"
     assert outputs[0] == outputs[2], "thread count changes the report"
@@ -251,7 +229,7 @@ def test_criterion_5_determinism(tmp_path):
 
 
 def test_criterion_5_determinism_relu(tmp_path):
-    check_determinism(tmp_path, RELU_DETERMINISM_SCRIPT, str(pathlib.Path(__file__).parent))
+    check_determinism(tmp_path, RELU_DETERMINISM_SCRIPT)
     report_pass(5, "determinism, ReLU features")
 
 

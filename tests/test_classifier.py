@@ -30,7 +30,8 @@ from alamp.classifier import (
     train,
     accuracy,
 )
-from alamp.dataset import Dataset, make_synthetic, standardize, train_test_split
+from alamp.dataset import (Dataset, induce_imbalance, make_synthetic, standardize,
+                           train_test_split)
 from test_engine import relu_dataset
 
 
@@ -346,32 +347,30 @@ def relu_rows(per_class, dim):
 
 
 # Inputs of `_step_sizes`, each with the form `_descend` would take (rows form
-# below `dim` rows, else the (dim+1)^2 form), whether the power bound alone
-# certifies the fixed step there, and whether its floor tr F m^(-7/8) already
-# rules the fixed step out, so that the bound is skipped (as on the pool
-# workload's ReLU rows forms). Where the bound does not certify, the cap
-# binds, except at "blobs x 1.05", whose λmax lies below the cap and its
-# bound above it. At "blobs x 1.1" λmax lies just above the cap of the three
-# smallest regs. One row has a rank-1 form, whose bound is λmax itself: 7.5
-# keeps the fixed step, 7.51 passes the cap 7.5 + 6.5 reg of reg 1e-3.
+# below `dim` rows, else the (dim+1)^2 form), and whether the power bound
+# alone certifies the fixed step there. Where it does not, the cap binds,
+# except at "blobs x 1.05", whose λmax lies below the cap and its bound above
+# it. At "blobs x 1.1" λmax lies just above the cap of the three smallest
+# regs. One row has a rank-1 form, whose bound is λmax itself: 7.5 keeps the
+# fixed step, 7.51 passes the cap 7.5 + 6.5 reg of reg 1e-3.
 STEP_RULE_CASES = {
-    "blobs, dims form": (lambda: blob_rows(200, 16), True, False),
-    "blobs x 0.45, rows form": (lambda: blob_rows(30, 64, 0.45), True, False),
-    "blobs x 1.05, dims form": (lambda: blob_rows(200, 16, 1.05), False, False),
-    "blobs x 1.1, dims form": (lambda: blob_rows(200, 16, 1.1), False, False),
-    "blobs x 3, dims form": (lambda: blob_rows(200, 16, 3.0), False, True),
-    "relu, rows form": (lambda: relu_rows(10, 512), False, True),
-    "relu, dims form": (lambda: relu_rows(60, 32), False, False),
-    "constant column": (constant_column, False, False),
-    "1 row": (lambda: blob_rows(1, 8), True, False),
-    "2 rows": (lambda: blob_rows(2, 8), False, True),
-    "3 rows": (lambda: blob_rows(3, 8), False, True),
-    "1 row, λmax 7.5": (lambda: (np.array([[np.sqrt(6.5), 0.0]]), np.ones(1)), True, False),
-    "1 row, λmax 7.51": (lambda: (np.array([[np.sqrt(6.51), 0.0]]), np.ones(1)), False, True),
-    "blobs x 1e-150, dims form": (lambda: blob_rows(200, 16, 1e-150), True, False),
-    "blobs x 1e-150, rows form": (lambda: blob_rows(30, 64, 1e-150), True, False),
-    "blobs x 1e150, dims form": (lambda: blob_rows(200, 16, 1e150), False, True),
-    "blobs x 1e150, rows form": (lambda: blob_rows(30, 64, 1e150), False, True),
+    "blobs, dims form": (lambda: blob_rows(200, 16), True),
+    "blobs x 0.45, rows form": (lambda: blob_rows(30, 64, 0.45), True),
+    "blobs x 1.05, dims form": (lambda: blob_rows(200, 16, 1.05), False),
+    "blobs x 1.1, dims form": (lambda: blob_rows(200, 16, 1.1), False),
+    "blobs x 3, dims form": (lambda: blob_rows(200, 16, 3.0), False),
+    "relu, rows form": (lambda: relu_rows(10, 512), False),
+    "relu, dims form": (lambda: relu_rows(60, 32), False),
+    "constant column": (constant_column, False),
+    "1 row": (lambda: blob_rows(1, 8), True),
+    "2 rows": (lambda: blob_rows(2, 8), False),
+    "3 rows": (lambda: blob_rows(3, 8), False),
+    "1 row, λmax 7.5": (lambda: (np.array([[np.sqrt(6.5), 0.0]]), np.ones(1)), True),
+    "1 row, λmax 7.51": (lambda: (np.array([[np.sqrt(6.51), 0.0]]), np.ones(1)), False),
+    "blobs x 1e-150, dims form": (lambda: blob_rows(200, 16, 1e-150), True),
+    "blobs x 1e-150, rows form": (lambda: blob_rows(30, 64, 1e-150), True),
+    "blobs x 1e150, dims form": (lambda: blob_rows(200, 16, 1e150), False),
+    "blobs x 1e150, rows form": (lambda: blob_rows(30, 64, 1e150), False),
 }
 
 
@@ -563,26 +562,32 @@ class TestGridDescent:
 
     @pytest.mark.parametrize("seed", [0, 1, 1000])
     def test_step_rule_keeps_fixed_step_on_desk_subsets(self, seed, monkeypatch):
-        # criterion 7's data in its run's feature space: the curvature bound
-        # never binds, so desk-scale fits take the fixed step 0.1 / (1 + reg),
-        # and the power bound certifies that without an `eigvalsh`
-        train_pool = standardize(*train_test_split(make_synthetic(20, 250, 64, 1.6, seed),
-                                                   0.2, seed + 1))[0]
+        # criterion 7's data in its runs' feature spaces, the balanced pool and
+        # the pool skewed to ir 0.74, whose class weights are the largest and
+        # whose first fit's CV folds (45-55 rows) take desk's n x n forms: the
+        # curvature bound never binds, so desk-scale fits take the fixed step
+        # 0.1 / (1 + reg), and the power bound certifies that without an
+        # `eigvalsh`
+        train, test = train_test_split(make_synthetic(20, 250, 64, 1.6, seed), 0.2, seed + 1)
+        # whole fits too: on the balanced pool, CV's folds of 30 and 400 rows,
+        # then the final fit; on the skewed pool, desk's first and last sizes
+        pools = ((standardize(train, test)[0], (45, 600)),
+                 (standardize(induce_imbalance(train, 0.74, 5, seed), test)[0], (100, 300)))
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden_eigvalsh)
         rng = np.random.default_rng(seed)
         grid = np.array(DEFAULT_REG_GRID)
-        for n in (45, 100, 200, 400, 600):
-            rows = rng.choice(train_pool.n_samples, n, replace=False)
-            labels = train_pool.labels[rows]
-            cw = class_weights(np.bincount(labels, minlength=20))
-            z, _, sample_w = descent_problem(train_pool.features[rows], labels, cw)
-            lr = _step_sizes(z, sample_w, grid, kernel_gram(z))
-            assert np.array_equal(lr, 0.1 / (1.0 + grid))
-        # whole fits too: CV's folds of 30 and 400 rows, then the final fit
-        for n in (45, 600):
-            model = fit(train_pool, np.sort(rng.choice(train_pool.n_samples, n, replace=False)),
-                        True, seed)
-            assert np.all(np.isfinite(model.weights))
+        for pool, fit_sizes in pools:
+            for n in (45, 100, 200, 400, 600):
+                rows = rng.choice(pool.n_samples, n, replace=False)
+                labels = pool.labels[rows]
+                cw = class_weights(np.bincount(labels, minlength=20))
+                z, _, sample_w = descent_problem(pool.features[rows], labels, cw)
+                lr = _step_sizes(z, sample_w, grid, kernel_gram(z))
+                assert np.array_equal(lr, 0.1 / (1.0 + grid))
+            for n in fit_sizes:
+                model = fit(pool, np.sort(rng.choice(pool.n_samples, n, replace=False)),
+                            True, seed)
+                assert np.all(np.isfinite(model.weights))
 
     def test_step_rule_takes_eigvalsh_where_the_cap_binds(self, monkeypatch):
         # ReLU rows in 512 dims: the curvature bound binds, so the step needs
@@ -604,8 +609,7 @@ class TestGridDescent:
         # bit for bit the step `eigvalsh` gives, where the power bound
         # certifies the fixed step and where it cannot, with no floating-point
         # flag raised at extreme scales
-        make, certified, floor_skips = STEP_RULE_CASES[case]
-        assert not (certified and floor_skips)
+        make, certified = STEP_RULE_CASES[case]
         z, sample_w = make()
         grid = np.array(DEFAULT_REG_GRID)
         fixed = 0.1 / (1.0 + grid)
@@ -621,7 +625,7 @@ class TestGridDescent:
             want = np.minimum(fixed, 1.5 / (2.0 * lam + 2.0 * grid))
         assert got.tobytes() == want.tobytes()
         assert len(calls) == (0 if certified else 1)
-        assert len(bounds) == (0 if floor_skips else 1)
+        assert len(bounds) == 1
         assert np.array_equal(got, fixed) == (certified or case.startswith("blobs x 1.05"))
 
     @pytest.mark.parametrize("folds", [2, 3])

@@ -6,6 +6,7 @@ from alamp.cli import main, parse_seeds
 from alamp.engine import AF_NAMES, BudgetPlan, EngineError
 from alamp.dataset import (DatasetError, induce_imbalance, load_dataset, make_synthetic,
                            train_test_split, write_dataset)
+from alamp.metrics import read_report, write_report
 
 
 def library_error(exc_type, func, *args):
@@ -357,6 +358,23 @@ class TestCompare:
                 name = f"train_{af}_seed{seed}.json"
                 assert ((tmp_path / "cmp" / name).read_bytes()
                         == (tmp_path / af / name).read_bytes())
+
+
+class TestReportsReadBack:
+    def test_every_written_report_reads_back_and_rewrites_byte_identically(self, csv_pair,
+                                                                          tmp_path):
+        # read_report's checks accept every JSON report alamp itself writes
+        train, test = csv_pair
+        common = ["--train", train, "--test", test, "--budget", "40", "--iters", "4",
+                  "--seeds", "0,3"]
+        assert main(["compare", "--out", str(tmp_path / "cmp")] + common) == 0
+        assert main(["run", "--af", "alamp-div", "--no-cost-sensitive",
+                     "--out", str(tmp_path / "run")] + common) == 0
+        written = sorted(tmp_path.glob("*/train_*_seed*.json"))
+        assert len(written) == 2 * len(AF_NAMES) + 2
+        for path in written:
+            write_report(read_report(path), tmp_path / "rewritten.json")
+            assert (tmp_path / "rewritten.json").read_bytes() == path.read_bytes()
 
 
 class TestStrictConfig:

@@ -1,8 +1,4 @@
 import dataclasses
-import os
-import pathlib
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -439,16 +435,12 @@ class TestThreadCountInvariance:
     def test_relu_reports_match_at_1_and_2_blas_threads(self, tmp_path):
         # at 512 dims OpenBLAS splits some of the fits' products over threads,
         # so model bits may differ with the thread count; the reports must not
-        script = tmp_path / "relu_run.py"
-        script.write_text(THREADS_SCRIPT)
+        from test_classifier import run_at_blas_threads  # test_classifier imports this module
         outputs = {}
         for threads in ("1", "2"):
             out = tmp_path / f"threads_{threads}"
             out.mkdir()
-            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                       MKL_NUM_THREADS=threads)
-            subprocess.run([sys.executable, str(script), str(pathlib.Path(__file__).parent),
-                            str(out)], check=True, env=env, timeout=600)
+            run_at_blas_threads(threads, THREADS_SCRIPT, str(out))
             outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert sorted(outputs["1"]) == ["alamp.json", "coreset.json", "margin.json"]
         assert outputs["1"] == outputs["2"]

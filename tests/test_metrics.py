@@ -153,6 +153,44 @@ class TestSerialization:
             write_report(make_report([0.5]), tmp_path / "r.xml", format="xml")
 
 
+def mutated_report_file(tmp_path, keys, key, value):
+    """A written two-record report whose json has `value` at `key` of the
+    object that `keys` lead to."""
+    path = tmp_path / "r.json"
+    write_report(make_report([0.5, 0.6]), path)
+    payload = json.loads(path.read_text())
+    target = payload
+    for step in keys:
+        target = target[step]
+    target[key] = value
+    path.write_text(json.dumps(payload))
+    return path
+
+
+class TestReportTypes:
+    # each value is of another JSON type than write_report writes (true/false
+    # is no number), out of range, or under an unknown key; read_report names
+    # the key, where it used to build a report from it
+    @pytest.mark.parametrize("keys, key, value, match", [
+        (("records", 0), "k", 0.0, "record 0 key 'k' must be a JSON integer, got 0.0"),
+        (("records", 1), "k", True, "record 1 key 'k' must be a JSON integer, got True"),
+        (("meta",), "seed", "1", "meta key 'seed' must be a JSON integer, got '1'"),
+        (("meta",), "cost_sensitive", 1, "meta key 'cost_sensitive' must be a JSON boolean"),
+        (("meta", "plan"), "b", 20.0, "meta plan key 'b' must be a JSON integer, got 20.0"),
+        (("records", 0), "acc", "0.5", "record 0 key 'acc' must be a JSON number, got '0.5'"),
+        (("records", 0), "acc", True, "record 0 key 'acc' must be a JSON number, got True"),
+        (("records", 1), "acc", 1.5, r"record k=1: acc 1.5 is outside \[0, 1\]"),
+        (("meta",), "note", "x", "unknown key 'note' in meta"),
+        (("records", 1), "class_counts", [30.0, 30], "record k=1: class_counts must hold integers"),
+        (("records", 0), "selected", [True] + list(range(1, 30)),
+         "record k=0: selected must hold integers"),
+    ], ids=["k 0.0", "k true", "seed string", "cost_sensitive 1", "b 20.0", "acc string",
+            "acc true", "acc 1.5", "unknown meta key", "class_counts float", "selected true"])
+    def test_mistyped_or_unknown_value_rejected(self, tmp_path, keys, key, value, match):
+        with pytest.raises(ValueError, match=match):
+            read_report(mutated_report_file(tmp_path, keys, key, value))
+
+
 class TestNonFiniteNumbers:
     # json has no NaN or Infinity: a report or aggregate holding one fails
     # loudly, in either format, and leaves no file behind
